@@ -1,16 +1,11 @@
-"""Numerical hot loops with optional numba acceleration.
+"""Numerical kernels: packed Sellmeier evaluation and the HOM curve.
 
-Every kernel is written once as a plain-python/numpy function (kept around
-with a ``_py`` suffix) and wrapped by ``numba.njit(cache=True)`` unless the
-environment variable ``FREQBIN_DISABLE_NUMBA=1`` is set or numba is missing.
-The two code paths agree to floating-point roundoff (libm vs LLVM sin/cos
-may differ in the last ulp) and are covered by equivalence tests;
-``benchmarks/compare_numba.py`` times them against each other.
+``index_n`` and ``index_dn_dlam`` are numpy expressions that take a scalar
+or an array of wavelengths and return a value of the same shape; array and
+elementwise scalar calls agree bit for bit. ``homi_curve`` and ``homi_jac``
+loop over the delays.
 
-Kernels take only scalars and float64 arrays (numba-friendly): refractive
-index sets arrive as a packed coefficient vector, see ``pack`` layout below.
-
-pack layout (float64[13])::
+Refractive index sets arrive as a packed coefficient vector (float64[13])::
 
     [form, a1, a2, a3, a4, a5, a6, b1, b2, b3, b4, t0, t1]
 
@@ -21,24 +16,7 @@ form codes: 0 = constant n, 1 = linear n(lam), 2 = quadratic n(lam),
              + (a4 + b4*f)/(lam^2 - a5^2) - a6*lam^2,
     f = (T - t0)*(T + t1),   lam in um, T in deg C.
 """
-import os
-
 import numpy as np
-
-_env = os.environ.get("FREQBIN_DISABLE_NUMBA", "").strip().lower()
-USE_NUMBA = _env not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # documented fallback: run the interpreted twins
-        USE_NUMBA = False
-
-
-def _jit(fn):
-    if USE_NUMBA:
-        return njit(cache=True)(fn)
-    return fn
-
 
 FORM_CONSTANT = 0
 FORM_LINEAR = 1
@@ -46,13 +24,14 @@ FORM_QUADRATIC = 2
 FORM_SELLMEIER_T = 3
 
 
-def index_n_py(lam_um, t_c, pack):
+def index_n(lam_um, t_c, pack):
+    """n(lam, T) for a scalar or array ``lam_um``."""
     form = int(pack[0])
-    if form == 0:
-        return pack[1]
-    if form == 1:
+    if form == FORM_CONSTANT:
+        return np.full(np.shape(lam_um), pack[1])[()]
+    if form == FORM_LINEAR:
         return pack[1] + pack[2] * lam_um
-    if form == 2:
+    if form == FORM_QUADRATIC:
         d = lam_um - pack[3]
         return pack[1] + pack[2] * d * d
     f = (t_c - pack[11]) * (t_c + pack[12])
@@ -65,14 +44,14 @@ def index_n_py(lam_um, t_c, pack):
     return np.sqrt(n2)
 
 
-def index_dn_dlam_py(lam_um, t_c, pack):
-    """Analytic d n / d lam (per um)."""
+def index_dn_dlam(lam_um, t_c, pack):
+    """Analytic d n / d lam (per um) for a scalar or array ``lam_um``."""
     form = int(pack[0])
-    if form == 0:
-        return 0.0
-    if form == 1:
-        return pack[2]
-    if form == 2:
+    if form == FORM_CONSTANT:
+        return np.zeros(np.shape(lam_um))[()]
+    if form == FORM_LINEAR:
+        return np.full(np.shape(lam_um), pack[2])[()]
+    if form == FORM_QUADRATIC:
         return 2.0 * pack[2] * (lam_um - pack[3])
     f = (t_c - pack[11]) * (t_c + pack[12])
     lam2 = lam_um * lam_um
@@ -87,14 +66,7 @@ def index_dn_dlam_py(lam_um, t_c, pack):
     return dn2 / (2.0 * np.sqrt(n2))
 
 
-def index_n_many_py(lam_um, t_c, pack):
-    out = np.empty(lam_um.shape[0])
-    for i in range(lam_um.shape[0]):
-        out[i] = index_n_py(lam_um[i], t_c, pack)
-    return out
-
-
-def homi_curve_py(tau, n_rate, vis, dw, tau_c, tau0):
+def homi_curve(tau, n_rate, vis, dw, tau_c, tau0):
     """Coincidence rate vs delay: beat under a triangular envelope.
 
     I(tau) = (N/2) * (1 - V*cos(dw*u)*(1 - |u|/tau_c)) for |u| <= tau_c,
@@ -112,7 +84,7 @@ def homi_curve_py(tau, n_rate, vis, dw, tau_c, tau0):
     return out
 
 
-def homi_jac_py(tau, n_rate, vis, dw, tau_c, tau0):
+def homi_jac(tau, n_rate, vis, dw, tau_c, tau0):
     """d I / d (N, V, dw, tau_c, tau0); (npts, 5). Kinks use inner-branch slopes."""
     m = tau.shape[0]
     jac = np.zeros((m, 5))
@@ -137,37 +109,3 @@ def homi_jac_py(tau, n_rate, vis, dw, tau_c, tau0):
         else:
             jac[i, 0] = 0.5
     return jac
-
-
-index_n = _jit(index_n_py)
-index_dn_dlam = _jit(index_dn_dlam_py)
-homi_curve = _jit(homi_curve_py)
-homi_jac = _jit(homi_jac_py)
-
-if USE_NUMBA:
-    # redefine rather than alias: the loop must call the compiled scalar
-    @_jit
-    def index_n_many(lam_um, t_c, pack):
-        out = np.empty(lam_um.shape[0])
-        for i in range(lam_um.shape[0]):
-            out[i] = index_n(lam_um[i], t_c, pack)
-        return out
-else:
-    index_n_many = index_n_many_py
-
-
-def warm_up():
-    """Trigger JIT compilation (no-op on the numpy path).
-
-    Call before timing anything; with cache=True later processes pay only
-    the cache-load cost.
-    """
-    pack = np.zeros(13)
-    pack[0] = FORM_SELLMEIER_T
-    pack[1], pack[2], pack[3] = 4.9, 0.11, 0.2
-    t = np.array([0.0, 1.0e-12])
-    index_n(1.5, 100.0, pack)
-    index_dn_dlam(1.5, 100.0, pack)
-    index_n_many(np.array([1.5, 1.6]), 100.0, pack)
-    homi_curve(t, 1.0, 0.9, 1.0e12, 2.0e-12, 0.0)
-    homi_jac(t, 1.0, 0.9, 1.0e12, 2.0e-12, 0.0)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .dispersion import Polarization, group_index
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
@@ -141,10 +142,9 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s,
     i_set.check_range(lam_i_um.max(), t)
 
     # rad/m wavevectors
-    from . import _kernels
     kp = _k_um(lam_p_um, t, p_set) * 1e6
-    ks = TWO_PI * 1e6 * _kernels.index_n_many(lam_s_um, t, s_set._pack) / lam_s_um
-    ki = TWO_PI * 1e6 * _kernels.index_n_many(lam_i_um, t, i_set._pack) / lam_i_um
+    ks = TWO_PI * 1e6 * _kernels.index_n(lam_s_um, t, s_set._pack) / lam_s_um
+    ki = TWO_PI * 1e6 * _kernels.index_n(lam_i_um, t, i_set._pack) / lam_i_um
     kappa = kp - ks - ki
     dk = kappa - TWO_PI / seg.period
     big_s = ks + ki
@@ -228,7 +228,10 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     The exchange coherence is maximized over the V-photon compensation delay
     (the two processes emit from different crystal halves, so their raw
     temporal overlap is negligible; an interferometer removes that group
-    delay before any interference is observed).
+    delay before any interference is observed). The search scans the
+    delays within a span set by the group-delay walk-off, at a step no
+    coarser than span / (tau_scan_points - 1), with one FFT, then refines
+    the best one by golden section.
     """
     if sa.per_segment.shape[0] != 2:
         raise BinReductionError(
@@ -274,14 +277,23 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     theta = 2.0 * omega - omega_p
 
     def overlap_mag(tau):
-        return np.abs(np.sum(cross * np.exp(1j * np.outer(
-            np.atleast_1d(tau), theta)), axis=1))
+        return abs(np.sum(cross * np.exp(1j * tau * theta)))
 
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))
                     * max(dng) / C_M_PER_S)
-    taus = np.linspace(-t_span, t_span, int(tau_scan_points))
-    mags = overlap_mag(taus)
+    # coarse scan: on the symmetric grid theta = 2 n d_om, so the overlap
+    # on the delays tau_k = pi k / (size d_om) is |ifft(cross)| (times
+    # size). size is a power of two at least as long as the grid, with a
+    # delay step no coarser than 2 t_span / (tau_scan_points - 1). The
+    # overlap repeats every pi / d_om in tau and the FFT's delays span one
+    # such period, so they hold every value even when 2 t_span is longer.
+    need = np.pi * (int(tau_scan_points) - 1) / (2.0 * t_span * d_om)
+    size = 1 << int(np.ceil(np.log2(max(len(cross), need))))
+    taus = np.fft.fftshift(np.pi * np.fft.fftfreq(size, d=d_om))
+    mags = np.fft.fftshift(np.abs(np.fft.ifft(cross, size)))
+    keep = np.abs(taus) <= t_span
+    taus, mags = taus[keep], mags[keep]
     k = int(np.argmax(mags))
     lo_t = taus[max(k - 1, 0)]
     hi_t = taus[min(k + 1, len(taus) - 1)]
@@ -289,18 +301,18 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     a, b = lo_t, hi_t
     c1 = b - gr * (b - a)
     c2 = a + gr * (b - a)
-    f1, f2 = overlap_mag(c1)[0], overlap_mag(c2)[0]
+    f1, f2 = overlap_mag(c1), overlap_mag(c2)
     for _ in range(80):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + gr * (b - a)
-            f2 = overlap_mag(c2)[0]
+            f2 = overlap_mag(c2)
         else:
             b, c2, f2 = c2, c1, f1
             c1 = b - gr * (b - a)
-            f1 = overlap_mag(c1)[0]
+            f1 = overlap_mag(c1)
     tau_star = 0.5 * (a + b)
-    o_mag = float(overlap_mag(tau_star)[0])
+    o_mag = float(overlap_mag(tau_star))
 
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * o_mag
 

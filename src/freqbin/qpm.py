@@ -7,9 +7,11 @@ an inconsistent triple. The QPM condition solved is
 
     dk = k_p - k_s - k_i - 2*pi/Lambda = 0.
 
-Root finding is bracketed bisection (derivative-free, robust on the smooth,
-monotone mismatch curves of real dispersion models) with an optional secant
-polish. Everything is pure over immutable specs.
+Roots are located by a sign-change scan and refined inside their bracket by
+Illinois regula falsi (``_bracketed_root``): derivative-free like bisection
+and as safe, since the bracket always holds a sign change, but superlinear,
+so a pair solve or a crossing search needs a handful of evaluations.
+Everything is pure over immutable specs.
 """
 from __future__ import annotations
 
@@ -230,22 +232,50 @@ def _mismatch_scan(spec, lam_s_um, period_um, s_set, i_set, p_set):
     i_set.check_range(lam_i.min(), t)
     i_set.check_range(lam_i.max(), t)
     p_set.check_range(lam_p, t)
-    ns = _kernels.index_n_many(lam_s_um, t, s_set._pack)
-    ni = _kernels.index_n_many(lam_i, t, i_set._pack)
+    ns = _kernels.index_n(lam_s_um, t, s_set._pack)
+    ni = _kernels.index_n(lam_i, t, i_set._pack)
     kp = _k_um(lam_p, t, p_set)
     return kp - TWO_PI * ns / lam_s_um - TWO_PI * ni / lam_i - TWO_PI / period_um
+
+
+def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
+    """Root of ``f`` between ``a`` and ``b`` (``fa``, ``fb`` of opposite
+    sign) by Illinois regula falsi.
+
+    The new point replaces the bracket end whose sign it shares; when the
+    same end survives twice in a row, its stored value is halved so the
+    next step lands on its side and both ends close in. Stops at an exact
+    zero or once the bracket is no wider than ``xtol``; returns the last
+    point and its value.
+    """
+    x, fx = a, fa
+    for _ in range(maxiter):
+        x = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < x < max(a, b):   # rounding at a flat end
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if fx * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = x, fx
+        if abs(b - a) <= xtol:
+            break
+    return x, fx
 
 
 def solve_signal_idler(spec: CrystalSpec, segment_index: int,
                        signal_pol=Polarization.H, idler_pol=None,
                        branch: Branch | None = None,
                        bracket=(1.2e-6, 1.9e-6), tol: float = 1e-3,
-                       scan_points: int = 241,
-                       polish: bool = True) -> PhaseMatchPoint:
+                       scan_points: int = 241) -> PhaseMatchPoint:
     """Solve dk = 0 for the given segment's period.
 
     The signal bracket is scanned for sign changes of the mismatch; each is
-    refined by bisection until |dk| < ``tol`` rad/m. With two roots in the
+    refined by ``_bracketed_root`` to a few ulps of the wavelength, and the
+    root must then satisfy |dk| < ``tol`` rad/m. With two roots in the
     bracket, ``branch`` must pick a side of the degeneracy (2*lam_p); with
     none, NoPhaseMatchError reports the scanned mismatch extremes.
     """
@@ -271,36 +301,14 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     exact = np.nonzero(sign == 0)[0]
 
-    def _refine(a, b, fa, fb):
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = _mismatch_um(spec, mid, period_um, s_set, i_set, p_set)
-            if fa * fm <= 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-12 * mid:
-                break
-        x, fx = 0.5 * (a + b), fm
-        if polish:
-            # a couple of secant steps to squeeze the residual floor
-            x0, f0, x1, f1 = a, fa, b, fb
-            for _ in range(3):
-                if f1 == f0:
-                    break
-                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                if not a <= x2 <= b:
-                    break
-                f2 = _mismatch_um(spec, x2, period_um, s_set, i_set, p_set)
-                x0, f0, x1, f1 = x1, f1, x2, f2
-                if abs(f2) < abs(fx):
-                    x, fx = x2, f2
-        return x, fx
+    def dk(lam_s_um):
+        return _mismatch_um(spec, lam_s_um, period_um, s_set, i_set, p_set)
 
     roots = []
     for i in flips:
-        roots.append(_refine(lam_grid[i], lam_grid[i + 1],
-                             dk_grid[i], dk_grid[i + 1]))
+        roots.append(_bracketed_root(dk, lam_grid[i], lam_grid[i + 1],
+                                     dk_grid[i], dk_grid[i + 1],
+                                     xtol=1e-15 * hi_um))
     for i in exact:
         roots.append((lam_grid[i], dk_grid[i]))
 
@@ -337,7 +345,7 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
     residual = dk_root * 1e6  # rad/um -> rad/m
     if abs(residual) > tol:
         raise NoPhaseMatchError(
-            f"bisection stalled at |dk| = {abs(residual):.3g} rad/m "
+            f"root refinement stalled at |dk| = {abs(residual):.3g} rad/m "
             f"(> tol {tol:g}); mismatch may be discontinuous")
     lam_i_um = 1.0 / (1.0 / lam_p_um - 1.0 / lam_root)
     return PhaseMatchPoint(
@@ -423,7 +431,8 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
 
     At the crossing, segment a's signal and segment b's signal are conjugate
     frequencies (nu_a + nu_b = nu_p), i.e. the two processes populate the
-    same two bins with polarizations swapped. Bisection on temperature to
+    same two bins with polarizations swapped. The gap is refined by
+    ``_bracketed_root`` until its temperature bracket is no wider than
     ``tol_c`` degC.
     """
     nu_p = C_UM_PER_S / (spec.pump_wavelength * 1e6)
@@ -445,13 +454,4 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
             f"no tuning-curve crossing in [{lo:g}, {hi:g}] C "
             f"(pair mismatch spans [{glo:.4g}, {ghi:.4g}] THz-equivalent)",
             dk_min=glo, dk_max=ghi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if glo * gm <= 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-        if hi - lo < tol_c:
-            break
-    return 0.5 * (lo + hi)
+    return float(_bracketed_root(gap, lo, hi, glo, ghi, xtol=tol_c)[0])

@@ -3,18 +3,43 @@
 Toy crystals use the constant/linear/quadratic index forms so solver results
 have closed-form oracles (see individual tests for the arithmetic).
 """
+import dataclasses
+
 import pytest
 
-from freqbin import _kernels
 from freqbin.biphoton import joint_spectrum, reduce_to_bins
-from freqbin.dispersion import Axis, SellmeierSet
-from freqbin.qpm import CrystalSpec, PolingSegment, load_crystal
+from freqbin.dispersion import Axis, Polarization, SellmeierSet, load_sellmeier
+from freqbin.qpm import (CrystalSpec, PhaseMatchPoint, PolingSegment,
+                         load_crystal, solve_period)
+
+# bundled Sellmeier pairings: name -> (extraordinary set, ordinary set)
+PAIRINGS = {
+    "edwards": ("cln_e_edwards1984", "cln_o_edwards1984"),
+    "jundt_e_edwards_o": ("cln_e_jundt1997", "cln_o_edwards1984"),
+    "mgo_gayer": ("mgo_cln_e_gayer2008", "mgo_cln_o_gayer2008"),
+}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile (or no-op) before anything is timed
-    _kernels.warm_up()
+def design_crystal(pairing, t0_c=110.0, signal_um=1.51, length_mm=20.0):
+    """Two-period crystal of a bundled pairing whose gratings emit one pair,
+    roles exchanged, at ``t0_c``: each period comes from ``solve_period``
+    on the default crystal's pump and axis map."""
+    base = load_crystal("default")
+    ext, ordi = PAIRINGS[pairing]
+    lam_p = base.pump_wavelength
+    lam_s = signal_um * 1e-6
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    length = length_mm * 1e-3
+    spec = dataclasses.replace(
+        base, temperature=t0_c, name=pairing,
+        sellmeier={Axis.EXTRAORDINARY: load_sellmeier(ext),
+                   Axis.ORDINARY: load_sellmeier(ordi)},
+        segments=(PolingSegment(1e-5, length),) * 2)
+    periods = [solve_period(spec, PhaseMatchPoint(
+        lam_p, a, b, Polarization.H, Polarization.V, 0.0))
+        for a, b in ((lam_s, lam_i), (lam_i, lam_s))]
+    return dataclasses.replace(
+        spec, segments=tuple(PolingSegment(p, length) for p in periods))
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from freqbin.biphoton import (BiphotonState, design_phase, joint_spectrum,
-                              n_mode_state, reduce_to_bins,
+from freqbin.biphoton import (BiphotonState, _lobe_width, design_phase,
+                              joint_spectrum, n_mode_state, reduce_to_bins,
                               segment_amplitude)
 from freqbin.errors import (BinReductionError, GridResolutionError,
                             PhysicalityError)
 from freqbin.qpm import PolingSegment, TWO_PI
+
+from conftest import PAIRINGS, design_crystal
 
 C = 2.99792458e8
 
@@ -180,6 +182,67 @@ def test_reduction_stable_under_grid_refinement(default_spec, default_state):
     # solver-derived quantities don't depend on the grid at all
     assert fine.delta_omega == pytest.approx(st.delta_omega, rel=1e-12)
     assert fine.tau_c == pytest.approx(st.tau_c, rel=1e-12)
+
+
+def _reference_reduction(sa, spec, tau_scan_points=801):
+    """(p, V, compensation delay) by the direct delay search: the overlap
+    summed on a uniform grid of tau_scan_points delays over +-t_span (one
+    block of delays at a time), then golden-section refinement."""
+    points = sa.segment_points
+    centers = [TWO_PI * C / pt.signal_wavelength for pt in points]
+    hi = int(np.argmax(centers))
+    lo = 1 - hi
+    omega_p = TWO_PI * C / spec.pump_wavelength
+    d_om = sa.d_omega
+    a_hi, a_lo = sa.per_segment[hi], sa.per_segment[lo]
+    weight_hi = np.sum(np.abs(a_hi) ** 2) * d_om
+    weight_lo = np.sum(np.abs(a_lo) ** 2) * d_om
+    p = weight_hi / (weight_hi + weight_lo)
+    cross = np.conj(a_hi) * a_lo[::-1] * d_om / np.sqrt(weight_hi * weight_lo)
+    theta = 2.0 * sa.omega - omega_p
+
+    def overlap_mag(tau):
+        return np.abs(np.sum(cross * np.exp(1j * np.outer(
+            np.atleast_1d(tau), theta)), axis=1))
+
+    dng = [_lobe_width(spec, pt) for pt in points]
+    widths = [dng[j] * spec.segments[j].length / C for j in range(2)]
+    t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
+                                      - spec.segment_start(lo))
+                    * max(dng) / C)
+    taus = np.linspace(-t_span, t_span, tau_scan_points)
+    mags = np.concatenate([overlap_mag(block)
+                           for block in np.array_split(taus, 16)])
+    k = int(np.argmax(mags))
+    a, b = taus[max(k - 1, 0)], taus[min(k + 1, len(taus) - 1)]
+    gr = 0.5 * (np.sqrt(5.0) - 1.0)
+    c1, c2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = overlap_mag(c1)[0], overlap_mag(c2)[0]
+    for _ in range(80):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + gr * (b - a)
+            f2 = overlap_mag(c2)[0]
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - gr * (b - a)
+            f1 = overlap_mag(c1)[0]
+    tau_star = 0.5 * (a + b)
+    vis = 2.0 * np.sqrt(p * (1.0 - p)) * overlap_mag(tau_star)[0]
+    return p, min(vis, 1.0), tau_star
+
+
+@pytest.mark.parametrize("n_points", [4097, 8193])
+def test_delay_search_matches_direct_scan(default_spec, n_points):
+    specs = [default_spec] + [design_crystal(name) for name in PAIRINGS]
+    for spec in specs:
+        sa = joint_spectrum(spec, n_points=n_points)
+        state = reduce_to_bins(sa, spec)
+        p, vis, tau_star = _reference_reduction(sa, spec)
+        assert state.p == pytest.approx(p, rel=1e-14), spec.name
+        assert state.V == pytest.approx(vis, rel=1e-12), spec.name
+        assert state.compensation_delay == pytest.approx(tau_star,
+                                                         rel=1e-7), spec.name
 
 
 def test_intensity_stable_under_grid_refinement(default_spec, default_state):

@@ -1,23 +1,11 @@
-"""Numba/numpy dual-path equivalence and kernel-level oracles.
+"""Kernel-level oracles.
 
-The jitted kernels must agree with their ``_py`` twins to floating-point
-roundoff on realistic inputs (the trig-heavy Jacobian may differ in the
-last ulp between libm and LLVM, hence the relative tolerance there), and
-the packed Sellmeier evaluation is checked against an independent in-test
-reimplementation of the published two-pole form.
-
-The suite passes with or without numba. ``_kernels.USE_NUMBA`` is True
-exactly when ``FREQBIN_DISABLE_NUMBA`` is unset (or not a true value) and
-``import numba`` succeeds; otherwise every kernel is its ``_py`` twin.
-On that interpreted path ``test_jit_matches_python_index_kernels`` (4
-cases) and ``test_jit_matches_python_homi_kernels`` compare each kernel
-with itself (``index_n is index_n_py``), so they check the numba path only
-where numba is installed and not disabled.
+The packed Sellmeier evaluation is checked against an independent in-test
+reimplementation of the published two-pole form and against the closed
+forms of the toy sets; the analytic dn/dlam and the HOM Jacobian against
+finite differences. Array calls of the index kernels must equal their
+elementwise scalar calls exactly, for every form.
 """
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -31,47 +19,6 @@ TOY_PACKS = {
     "linear": np.array([1.0, 2.2, 0.03] + [0.0] * 10),
     "quadratic": np.array([2.0, 2.2, -0.05, 0.775] + [0.0] * 9),
 }
-
-
-def test_use_numba_reflects_environment():
-    # the numba path is active exactly when FREQBIN_DISABLE_NUMBA is unset
-    # (or not a true value) and numba imports; probe the import the way
-    # _kernels does, so a broken install counts as missing there and here
-    flag_set = (os.environ.get("FREQBIN_DISABLE_NUMBA", "").strip().lower()
-                in ("1", "true", "yes"))
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        numba_importable = False
-    else:
-        numba_importable = True
-    assert _kernels.USE_NUMBA is (not flag_set and numba_importable)
-
-
-def test_disable_flag_selects_pure_python_path():
-    code = (
-        "import freqbin._kernels as k\n"
-        "assert k.USE_NUMBA is False\n"
-        "assert k.index_n is k.index_n_py\n"
-        "assert k.index_n_many is k.index_n_many_py\n"
-        "assert k.homi_curve is k.homi_curve_py\n"
-        "k.warm_up()\n"
-        "from freqbin.dispersion import load_sellmeier\n"
-        "print(float(k.index_n(1.55, 120.0,"
-        " load_sellmeier('cln_e_edwards1984')._pack)))\n"
-    )
-    env = dict(os.environ, FREQBIN_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    child_value = float(out.stdout.strip())
-    here = float(_kernels.index_n(1.55, 120.0, EDWARDS_E))
-    assert child_value == pytest.approx(here, rel=1e-15)
-
-
-def test_warm_up_idempotent():
-    _kernels.warm_up()
-    _kernels.warm_up()
 
 
 def test_independent_sellmeier_reimplementation():
@@ -121,29 +68,15 @@ def test_analytic_derivative_matches_finite_difference():
 
 @pytest.mark.parametrize("pack", [EDWARDS_E] + list(TOY_PACKS.values()),
                          ids=["edwards", "constant", "linear", "quadratic"])
-def test_jit_matches_python_index_kernels(pack):
-    lams = np.linspace(1.3, 1.8, 57)
+def test_array_call_equals_elementwise_scalar_calls(pack):
+    lams = np.linspace(1.3, 1.8, 57).reshape(3, 19)
     t = 118.0
-    jit_many = _kernels.index_n_many(lams, t, pack)
-    py_many = _kernels.index_n_many_py(lams, t, pack)
-    assert np.array_equal(jit_many, py_many)
-    for lam in lams[::8]:
-        assert _kernels.index_n(lam, t, pack) == \
-            _kernels.index_n_py(lam, t, pack)
-        assert _kernels.index_dn_dlam(lam, t, pack) == \
-            _kernels.index_dn_dlam_py(lam, t, pack)
-
-
-def test_jit_matches_python_homi_kernels():
-    tau = np.linspace(-3e-12, 3e-12, 241)
-    args = (1.0, 0.934, 2 * np.pi * 11.5e12, 2.4e-12, 13e-15)
-    assert np.array_equal(_kernels.homi_curve(tau, *args),
-                          _kernels.homi_curve_py(tau, *args))
-    jit_jac = _kernels.homi_jac(tau, *args)
-    py_jac = _kernels.homi_jac_py(tau, *args)
-    # libm vs LLVM sin/cos: last-ulp differences allowed, nothing more
-    scale = np.max(np.abs(py_jac), axis=0)
-    assert np.max(np.abs(jit_jac - py_jac) / scale[None, :]) < 1e-12
+    for kernel in (_kernels.index_n, _kernels.index_dn_dlam):
+        many = kernel(lams, t, pack)
+        assert isinstance(many, np.ndarray) and many.shape == lams.shape
+        each = np.array([[kernel(float(lam), t, pack) for lam in row]
+                         for row in lams])
+        assert np.array_equal(many, each)
 
 
 def test_homi_jac_matches_finite_difference():

@@ -10,15 +10,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin.dispersion import Axis, SellmeierSet
 from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError)
 from freqbin.qpm import (Branch, CrystalSpec, PhaseMatchPoint, PolingSegment,
-                         delta_k, crossing_temperature, load_crystal,
-                         solve_period, solve_signal_idler, tuning_curve)
+                         _bracketed_root, delta_k, crossing_temperature,
+                         load_crystal, solve_period, solve_signal_idler,
+                         tuning_curve)
 
-from conftest import const_set
+from conftest import PAIRINGS, const_set, design_crystal
+
+C = 2.99792458e8
 
 
 # --- toy oracles -----------------------------------------------------------
@@ -158,6 +162,80 @@ def test_bad_bracket_rejected(const_crystal):
         solve_signal_idler(const_crystal, 0, bracket=(0.5e-6, 1.9e-6))
     with pytest.raises(ValueError):
         solve_signal_idler(const_crystal, 0, bracket=(1.9e-6, 1.2e-6))
+
+
+# --- solver properties over the bundled pairings ---------------------------
+
+def test_bracketed_root_is_superlinear():
+    # bisection needs 52 halvings to shrink [0, 3] below 1e-15
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3 - 2.0
+
+    x, fx = _bracketed_root(f, 0.0, 3.0, -2.0, 25.0, xtol=1e-15)
+    assert len(calls) <= 15
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    assert fx == f(x)
+
+
+def _bisect(f, lo, hi, width):
+    """Plain bisection of f on [lo, hi] down to ``width``; the midpoint."""
+    flo = f(lo)
+    assert flo * f(hi) < 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        fm = f(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       t_c=st.floats(50.0, 170.0), segment=st.integers(0, 1))
+def test_pair_root_properties(pairing, t_c, segment):
+    spec = dataclasses.replace(design_crystal(pairing), temperature=t_c)
+    tol = 1e-3
+    pt = solve_signal_idler(spec, segment, tol=tol)
+    lp, ls, li = pt.pump_wavelength, pt.signal_wavelength, pt.idler_wavelength
+    assert abs(1.0 / lp - 1.0 / ls - 1.0 / li) <= 1e-13 / lp
+    assert abs(pt.residual_mismatch) <= tol
+    period = spec.segments[segment].period
+
+    def dk(lam_s):
+        lam_i = 1.0 / (1.0 / lp - 1.0 / lam_s)
+        return delta_k(spec, spec.field(lp, spec.pump_polarization),
+                       spec.field(lam_s, "H"), spec.field(lam_i, "V"),
+                       period=period)
+
+    assert abs(dk(ls)) <= tol
+    root = _bisect(dk, 1.2e-6, 1.9e-6, 0.0)
+    assert ls == pytest.approx(root, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53),
+       tol_c=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um,
+                                                tol_c):
+    spec = design_crystal(pairing, t0_c=t0_c, signal_um=signal_um)
+    t_bracket = (t0_c - 20.0, t0_c + 20.0)
+    nu_p = C / spec.pump_wavelength
+
+    def gap(t):
+        mod = dataclasses.replace(spec, temperature=t)
+        return sum(C / solve_signal_idler(mod, j).signal_wavelength
+                   for j in range(2)) - nu_p
+
+    t_star = crossing_temperature(spec, t_bracket, tol_c=tol_c)
+    assert abs(t_star - _bisect(gap, *t_bracket, tol_c)) <= tol_c
 
 
 # --- frozen behavior of the bundled crystal --------------------------------
