@@ -27,14 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .dispersion import Polarization, group_index
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
-from .qpm import (C_UM_PER_S, CrystalSpec, TWO_PI, _k_um,
+from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _check_span, _mismatch,
                   solve_signal_idler)
-
-C_M_PER_S = 2.99792458e8
 
 
 def _sinc(x):
@@ -104,20 +101,6 @@ class BiphotonState:
             raise PhysicalityError("tau_c must be > 0")
 
 
-def _segment_geometry(spec: CrystalSpec, index: int):
-    seg = spec.segments[index]
-    return seg, spec.segment_start(index), spec.total_length
-
-
-def _phase_sets(spec: CrystalSpec, signal_pol):
-    signal_pol = Polarization(signal_pol)
-    idler_pol = (Polarization.V if signal_pol is Polarization.H
-                 else Polarization.H)
-    return (signal_pol, idler_pol, spec.sellmeier_for(signal_pol),
-            spec.sellmeier_for(idler_pol),
-            spec.sellmeier_for(spec.pump_polarization))
-
-
 def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s,
                       signal_pol=Polarization.H):
     """Complex emission amplitude of one segment at H-photon frequency(ies).
@@ -126,33 +109,23 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s,
     amplitude_scale * L * |sinc(dk L/2)| (meters), so at exact phase match
     |A| = scale * L.
     """
-    seg, z_j, l_tot = _segment_geometry(spec, segment_index)
-    _, _, s_set, i_set, p_set = _phase_sets(spec, signal_pol)
+    seg = spec.segments[segment_index]
+    signal_pol = Polarization(signal_pol)
+    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
+                                          signal_pol, signal_pol.other)))
     omega = np.asarray(omega_s, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
+    lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
+    _check_span(spec, sets, lam_s_um.min(), lam_s_um.max())
 
-    t = spec.temperature
-    lam_p_um = spec.pump_wavelength * 1e6
-    lam_s_um = TWO_PI * C_UM_PER_S / omega
-    lam_i_um = 1.0 / (1.0 / lam_p_um - 1.0 / lam_s_um)
-    s_set.check_range(lam_s_um.min(), t)
-    s_set.check_range(lam_s_um.max(), t)
-    i_set.check_range(lam_i_um.min(), t)
-    i_set.check_range(lam_i_um.max(), t)
-
-    # rad/m wavevectors
-    kp = _k_um(lam_p_um, t, p_set) * 1e6
-    ks = TWO_PI * 1e6 * _kernels.index_n(lam_s_um, t, s_set._pack) / lam_s_um
-    ki = TWO_PI * 1e6 * _kernels.index_n(lam_i_um, t, i_set._pack) / lam_i_um
-    kappa = kp - ks - ki
+    # rad/m: kappa = k_p - k_s - k_i, big_s = k_s + k_i
+    kappa, big_s = (1e6 * k for k in _mismatch(spec, sets, lam_s_um))
     dk = kappa - TWO_PI / seg.period
-    big_s = ks + ki
 
     amp = seg.amplitude_scale * seg.length * _sinc(0.5 * dk * seg.length)
-    phase = kappa * z_j + 0.5 * dk * seg.length + big_s * l_tot
+    phase = (kappa * spec.segment_start(segment_index)
+             + 0.5 * dk * seg.length + big_s * spec.total_length)
     out = amp * np.exp(1j * phase)
-    return complex(out[0]) if scalar else out
+    return complex(out) if omega.ndim == 0 else out
 
 
 def design_phase(spec: CrystalSpec, first: int = 0, second: int = 1) -> float:
@@ -162,13 +135,13 @@ def design_phase(spec: CrystalSpec, first: int = 0, second: int = 1) -> float:
     return float(np.mod(phi, TWO_PI))
 
 
-def _lobe_width(spec, point):
-    """Full sinc main-lobe width (rad/s) and rect width W = dng*L/c (s)."""
-    t = spec.temperature
+def _group_index_mismatch(spec, point):
+    """|n_g,i - n_g,s| of a solved pair: the daughters' group-velocity
+    mismatch, which sets the sinc lobe width and the walk-off delay."""
     ng_s = group_index(spec.field(point.signal_wavelength, point.signal_pol),
-                       spec.sellmeier_for(point.signal_pol), method="analytic")
+                       spec.sellmeier_for(point.signal_pol))
     ng_i = group_index(spec.field(point.idler_wavelength, point.idler_pol),
-                       spec.sellmeier_for(point.idler_pol), method="analytic")
+                       spec.sellmeier_for(point.idler_pol))
     return abs(ng_i - ng_s)
 
 
@@ -189,7 +162,7 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
 
     lobe_w = []
     for p, seg in zip(points, spec.segments):
-        dng = _lobe_width(spec, p)
+        dng = _group_index_mismatch(spec, p)
         lobe_w.append(2.0 * TWO_PI * C_M_PER_S / (dng * seg.length))
     half_span = max(abs(c - 0.5 * omega_p) + lobes * lw
                     for c, lw in zip(centers, lobe_w))
@@ -257,7 +230,7 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     w2 = 0.5 * (centers[lo] + (omega_p - centers[hi]))
     delta_omega = w1 - w2
 
-    dng = [_lobe_width(spec, p) for p in points]
+    dng = [_group_index_mismatch(spec, p) for p in points]
     widths = [dng[j] * spec.segments[j].length / C_M_PER_S for j in range(2)]
     fwhm = [2.0 * 2.783115 / w for w in widths]   # sinc^2 FWHM in rad/s
     if delta_omega <= 5.0 * max(fwhm):

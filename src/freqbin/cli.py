@@ -32,8 +32,9 @@ from .errors import (BasisMismatchError, BinReductionError,
                      WavelengthRangeError)
 from .hom import HomParams, HomScan, fit_homi, homi_from_state, homi_rate, \
     synthesize_scan
-from .qpm import (Branch, CrystalSpec, PhaseMatchPoint, crossing_temperature,
-                  load_crystal, solve_period, solve_signal_idler, tuning_curve)
+from .qpm import (C_M_PER_S, Branch, CrystalSpec, PhaseMatchPoint,
+                  crossing_temperature, load_crystal, solve_period,
+                  solve_signal_idler, tuning_curve)
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,7 +63,8 @@ def _out_dir(args) -> Path:
 
 
 def _resolved(args) -> dict:
-    skip = {"func", "error_json", "timestamp", "out_dir", "config"}
+    skip = {"func", "parser", "error_json", "timestamp", "out_dir",
+            "config"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and not callable(v)}
 
@@ -171,12 +173,10 @@ def cmd_qpm_period(args) -> int:
     lam_i = args.idler_nm * 1e-9
     lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)   # pump slaved to conservation
     spec = replace(spec, pump_wavelength=lam_p)
+    signal_pol = Polarization(args.signal_pol)
     pt = PhaseMatchPoint(pump_wavelength=lam_p, signal_wavelength=lam_s,
-                         idler_wavelength=lam_i, signal_pol=args.signal_pol,
-                         idler_pol=(Polarization.V
-                                    if Polarization(args.signal_pol)
-                                    is Polarization.H else Polarization.H),
-                         residual_mismatch=0.0)
+                         idler_wavelength=lam_i, signal_pol=signal_pol,
+                         idler_pol=signal_pol.other, residual_mismatch=0.0)
     period = solve_period(spec, pt)
     print(f"period {period*1e6:.6f} um (pump {lam_p*1e9:.4f} nm, "
           f"T {spec.temperature:.3f} C)")
@@ -261,9 +261,8 @@ def cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     sa = joint_spectrum(spec, n_points=int(args.points),
                         lobes=float(args.lobes))
-    c = 2.99792458e8
-    rows = [(_fmt(w), _fmt(TWO_PI * c / w * 1e9), _fmt(t.real), _fmt(t.imag),
-             _fmt(abs(t) ** 2))
+    rows = [(_fmt(w), _fmt(TWO_PI * C_M_PER_S / w * 1e9), _fmt(t.real),
+             _fmt(t.imag), _fmt(abs(t) ** 2))
             for w, t in zip(sa.omega, sa.total)]
     _emit(args, "spectrum_jsa.csv", _csv_text(
         args, "omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity", rows))
@@ -501,6 +500,7 @@ def cmd_tomo_table1(args) -> int:
 # --- wiring ---------------------------------------------------------------
 
 def _add_common(sp):
+    sp.set_defaults(parser=sp)
     sp.add_argument("--config", default=None,
                     help="JSON file with default option values")
     sp.add_argument("--out-dir", default=None,
@@ -697,19 +697,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
+def _apply_config(ap, args, argv):
+    """Re-parse ``argv`` with the ``--config`` file's values as the
+    subcommand's defaults, so flags given on the command line still win.
+    Keys that name none of the subcommand's options are a usage error."""
+    if not args.config:
+        return args
     path = Path(args.config)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
     payload = json.loads(path.read_text())
     if not isinstance(payload, dict):
         raise ValueError("config file must hold a JSON object")
-    for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+    values = {key.replace("-", "_"): v for key, v in payload.items()}
+    options = {a.dest for a in args.parser._actions} - {"help", "config"}
+    unknown = sorted(set(values) - options)
+    if unknown:
+        raise ValueError(f"config file {path} sets unknown options "
+                         f"{unknown}")
+    args.parser.set_defaults(**values)
+    return ap.parse_args(argv)
 
 
 def _report(args, exc, kind):
@@ -729,7 +736,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
     try:
-        _apply_config(args)
+        args = _apply_config(ap, args, argv)
         return func(args)
     except _NUMERICAL as exc:
         _report(args, exc, "numerical")

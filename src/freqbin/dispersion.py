@@ -18,6 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +34,11 @@ class Axis(str, enum.Enum):
 class Polarization(str, enum.Enum):
     H = "H"
     V = "V"
+
+    @property
+    def other(self) -> "Polarization":
+        """The orthogonal polarization: a type-II idler's, given its signal's."""
+        return Polarization.V if self is Polarization.H else Polarization.H
 
 
 _FORM_CODES = {
@@ -130,23 +136,26 @@ class OpticalField:
         return self.wavelength * 1e6
 
 
+def _read_json(kind: str, source) -> dict:
+    """Parsed JSON of ``source``: an existing file path, else the bundled
+    ``data/<kind>/<source>.json``; FileNotFoundError naming both otherwise."""
+    path = Path(source)
+    if path.is_file():
+        return json.loads(path.read_text(encoding="utf-8"))
+    ref = resources.files("freqbin").joinpath(f"data/{kind}/{source}.json")
+    if ref.is_file():
+        return json.loads(ref.read_text(encoding="utf-8"))
+    raise FileNotFoundError(f"no file '{source}' and no bundled "
+                            f"data/{kind}/{source}.json")
+
+
 def load_sellmeier(source) -> SellmeierSet:
     """Load a SellmeierSet from a JSON file path or a bundled name.
 
     ``source`` may be a filesystem path or the stem of a bundled file, e.g.
     ``"cln_e_edwards1984"``.
     """
-    try:
-        text = open(source, "r", encoding="utf-8").read()
-    except (OSError, TypeError):
-        ref = resources.files("freqbin").joinpath(
-            f"data/sellmeier/{source}.json")
-        try:
-            text = ref.read_text(encoding="utf-8")
-        except (OSError, TypeError) as exc:
-            raise FileNotFoundError(
-                f"no Sellmeier file or bundled set named '{source}'") from exc
-    raw = json.loads(text)
+    raw = _read_json("sellmeier", source)
     return SellmeierSet(
         name=raw["name"],
         axis=Axis(raw["axis"]),
@@ -176,33 +185,13 @@ def wavenumber(fld: OpticalField, sset: SellmeierSet) -> float:
 
 
 def group_index(fld: OpticalField, sset: SellmeierSet,
-                step: float = 1e-11, method: str = "central") -> float:
-    """Group index n_g = n - lambda * dn/dlambda.
-
-    Parameters
-    ----------
-    step : float
-        Central-difference step in meters (default 0.01 nm). Ignored for
-        ``method="analytic"``.
-    method : str
-        ``"central"`` finite difference, or ``"analytic"`` closed-form
-        derivative of the coefficient polynomial.
-    """
+                method: str = "analytic") -> float:
+    """Group index n_g = n - lambda * dn/dlambda, with the closed-form
+    derivative of the index model (``method`` accepts only "analytic")."""
+    if method != "analytic":
+        raise ValueError(f"unknown method '{method}'")
     lam_um = fld.wavelength_um
     sset.check_range(lam_um, fld.temperature)
-    if method == "analytic":
-        dn = _kernels.index_dn_dlam(lam_um, fld.temperature, sset._pack)
-        n = _kernels.index_n(lam_um, fld.temperature, sset._pack)
-        return float(n - lam_um * dn)
-    if method != "central":
-        raise ValueError(f"unknown method '{method}'")
-    h_um = step * 1e6
-    lo, hi = sset.valid_wavelength_um
-    if lam_um - h_um < lo or lam_um + h_um > hi:
-        raise WavelengthRangeError(
-            f"{sset.name}: wavelength {lam_um:.6g} um too close to range "
-            f"boundary [{lo:g}, {hi:g}] um for difference step {h_um:g} um")
-    n_plus = _kernels.index_n(lam_um + h_um, fld.temperature, sset._pack)
-    n_minus = _kernels.index_n(lam_um - h_um, fld.temperature, sset._pack)
+    dn = _kernels.index_dn_dlam(lam_um, fld.temperature, sset._pack)
     n = _kernels.index_n(lam_um, fld.temperature, sset._pack)
-    return float(n - lam_um * (n_plus - n_minus) / (2.0 * h_um))
+    return float(n - lam_um * dn)

@@ -8,14 +8,12 @@ bin and maps to H under mode conversion. All serialization uses this order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
+from .dispersion import _read_json
 from .errors import (BasisMismatchError, FitConvergenceError,
                      PhysicalityError, TomographyDataError)
 
@@ -244,17 +242,7 @@ def load_projectors(name_or_path: str = "james16") -> tuple:
     operator space (informational completeness) or TomographyDataError
     is raised.
     """
-    path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        payload = json.loads(path.read_text())
-    else:
-        ref = resources.files("freqbin").joinpath(
-            f"data/tomography/{name_or_path}.json")
-        if not ref.is_file():
-            raise FileNotFoundError(
-                f"no bundled projector set '{name_or_path}' and no such file")
-        payload = json.loads(ref.read_text())
-
+    payload = _read_json("tomography", name_or_path)
     kets = {}
     for label, pairs in payload["states"].items():
         arr = np.array([complex(re, im) for re, im in pairs])

@@ -183,8 +183,14 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
     frequency, minimum-count offset, linear envelope fit) unless ``init``
     supplies starting values; partial dicts override individual entries.
     Raises FitConvergenceError (carrying the last iterate) if the loop
-    exhausts ``max_iter`` without the relative step dropping below tolerance.
+    exhausts ``max_iter`` without the relative step dropping below tolerance,
+    or up front if the scan has no more points than the five parameters.
     """
+    if len(scan.delays) <= len(_PARAM_NAMES):
+        raise FitConvergenceError(
+            f"{len(scan.delays)} scan points cannot determine the "
+            f"{len(_PARAM_NAMES)} model parameters; need at least "
+            f"{len(_PARAM_NAMES) + 1}")
     guess = _initial_guess(scan)
     flags = []
     if isinstance(init, HomParams):

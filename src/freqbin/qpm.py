@@ -16,20 +16,18 @@ Everything is pure over immutable specs.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 
 from . import _kernels
 from .dispersion import (Axis, OpticalField, Polarization, SellmeierSet,
-                         load_sellmeier, wavenumber)
+                         _read_json, load_sellmeier, wavenumber)
 from .errors import (BranchAmbiguityError, NoPhaseMatchError,
                      TemperatureRangeError, WavelengthRangeError)
 
 TWO_PI = 2.0 * np.pi
-C_UM_PER_S = 2.99792458e14  # speed of light in um/s
+C_M_PER_S = 2.99792458e8  # speed of light in m/s
 
 
 class Branch(str, enum.Enum):
@@ -144,9 +142,8 @@ class PhaseMatchPoint:
     @property
     def delta_omega(self) -> float:
         """Angular frequency splitting |omega_s - omega_i| in rad/s."""
-        c = 2.99792458e8
-        return abs(TWO_PI * c * (1.0 / self.signal_wavelength
-                                 - 1.0 / self.idler_wavelength))
+        return abs(TWO_PI * C_M_PER_S * (1.0 / self.signal_wavelength
+                                         - 1.0 / self.idler_wavelength))
 
 
 def load_crystal(source) -> CrystalSpec:
@@ -156,18 +153,7 @@ def load_crystal(source) -> CrystalSpec:
     temperature_C, pump_nm, axis_map {H: axis, V: axis}, sellmeier_files
     {axis: path-or-bundled-name}, optional pump_polarization (default "V").
     """
-    try:
-        text = open(source, "r", encoding="utf-8").read()
-    except (OSError, TypeError):
-        ref = resources.files("freqbin").joinpath(
-            f"data/crystals/{source}.json")
-        try:
-            text = ref.read_text(encoding="utf-8")
-        except (OSError, TypeError) as exc:
-            raise FileNotFoundError(
-                f"no crystal file or bundled crystal named '{source}'"
-            ) from exc
-    raw = json.loads(text)
+    raw = _read_json("crystals", source)
     segments = tuple(
         PolingSegment(period=s["period_um"] * 1e-6,
                       length=s["length_mm"] * 1e-3,
@@ -206,36 +192,38 @@ def delta_k(spec: CrystalSpec, pump: OpticalField, signal: OpticalField,
 
 
 # ---------------------------------------------------------------------------
-# fast scalar/vector mismatch paths (um units) used by the solvers
+# the solvers' mismatch evaluator (um units)
 
-def _k_um(lam_um, t_c, sset):
-    return TWO_PI * _kernels.index_n(lam_um, t_c, sset._pack) / lam_um
-
-
-def _mismatch_um(spec, lam_s_um, period_um, s_set, i_set, p_set):
-    """dk in rad/um at signal wavelength lam_s_um (idler slaved)."""
-    lam_p = spec.pump_wavelength * 1e6
-    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s_um)
+def _check_span(spec: CrystalSpec, sets, lam_lo_um, lam_hi_um):
+    """Range-check the pump and a signal span [lam_lo_um, lam_hi_um] with
+    its slaved idlers; the idler falls as the signal rises, so the span's
+    ends bound every pair ``_mismatch`` evaluates inside it."""
+    p_set, s_set, i_set = sets
     t = spec.temperature
-    s_set.check_range(lam_s_um, t)
-    i_set.check_range(lam_i, t)
-    return (_k_um(lam_p, t, p_set) - _k_um(lam_s_um, t, s_set)
-            - _k_um(lam_i, t, i_set) - TWO_PI / period_um)
-
-
-def _mismatch_scan(spec, lam_s_um, period_um, s_set, i_set, p_set):
     lam_p = spec.pump_wavelength * 1e6
-    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s_um)
-    t = spec.temperature
-    s_set.check_range(lam_s_um.min(), t)
-    s_set.check_range(lam_s_um.max(), t)
-    i_set.check_range(lam_i.min(), t)
-    i_set.check_range(lam_i.max(), t)
+    for lam_s in (lam_lo_um, lam_hi_um):
+        s_set.check_range(lam_s, t)
+    for lam_s in (lam_hi_um, lam_lo_um):
+        i_set.check_range(1.0 / (1.0 / lam_p - 1.0 / lam_s), t)
     p_set.check_range(lam_p, t)
-    ns = _kernels.index_n(lam_s_um, t, s_set._pack)
-    ni = _kernels.index_n(lam_i, t, i_set._pack)
-    kp = _k_um(lam_p, t, p_set)
-    return kp - TWO_PI * ns / lam_s_um - TWO_PI * ni / lam_i - TWO_PI / period_um
+
+
+def _mismatch(spec: CrystalSpec, sets, lam_s_um, period_um=np.inf):
+    """k_p - k_s - k_i - 2 pi/period_um and k_s + k_i, both in rad/um.
+
+    ``sets`` holds the (pump, signal, idler) coefficient sets. ``lam_s_um``
+    is a signal wavelength or an array of them; the idler is slaved to the
+    pump, and the default period drops the grating term. Nothing is
+    range-checked here: callers run ``_check_span`` once per span.
+    """
+    p_set, s_set, i_set = sets
+    t = spec.temperature
+    lam_p = spec.pump_wavelength * 1e6
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s_um)
+    kp = TWO_PI * _kernels.index_n(lam_p, t, p_set._pack) / lam_p
+    ks = TWO_PI * _kernels.index_n(lam_s_um, t, s_set._pack) / lam_s_um
+    ki = TWO_PI * _kernels.index_n(lam_i, t, i_set._pack) / lam_i
+    return kp - ks - ki - TWO_PI / period_um, ks + ki
 
 
 def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
@@ -282,27 +270,26 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
     segment = spec.segments[segment_index]
     period_um = segment.period * 1e6
     signal_pol = Polarization(signal_pol)
-    if idler_pol is None:
-        idler_pol = (Polarization.V if signal_pol is Polarization.H
-                     else Polarization.H)
-    idler_pol = Polarization(idler_pol)
-    s_set = spec.sellmeier_for(signal_pol)
-    i_set = spec.sellmeier_for(idler_pol)
-    p_set = spec.sellmeier_for(spec.pump_polarization)
+    idler_pol = Polarization(signal_pol.other if idler_pol is None
+                             else idler_pol)
+    sets = tuple(map(spec.sellmeier_for,
+                     (spec.pump_polarization, signal_pol, idler_pol)))
 
     lam_p_um = spec.pump_wavelength * 1e6
     lo_um, hi_um = bracket[0] * 1e6, bracket[1] * 1e6
     if not lam_p_um < lo_um < hi_um:
         raise ValueError("signal bracket must satisfy lam_p < lo < hi")
 
+    def dk(lam_s_um):
+        return _mismatch(spec, sets, lam_s_um, period_um)[0]
+
+    # the refinement stays inside the grid, so one check covers it too
+    _check_span(spec, sets, lo_um, hi_um)
     lam_grid = np.linspace(lo_um, hi_um, int(scan_points))
-    dk_grid = _mismatch_scan(spec, lam_grid, period_um, s_set, i_set, p_set)
+    dk_grid = dk(lam_grid)
     sign = np.sign(dk_grid)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     exact = np.nonzero(sign == 0)[0]
-
-    def dk(lam_s_um):
-        return _mismatch_um(spec, lam_s_um, period_um, s_set, i_set, p_set)
 
     roots = []
     for i in flips:
@@ -435,7 +422,8 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
     ``_bracketed_root`` until its temperature bracket is no wider than
     ``tol_c`` degC.
     """
-    nu_p = C_UM_PER_S / (spec.pump_wavelength * 1e6)
+    c_um = C_M_PER_S * 1e6
+    nu_p = c_um / (spec.pump_wavelength * 1e6)
 
     def gap(t):
         mod = replace(spec, temperature=float(t))
@@ -443,8 +431,8 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
                                 bracket=bracket)
         pb = solve_signal_idler(mod, segment_b, signal_pol=signal_pol,
                                 bracket=bracket)
-        nu_a = C_UM_PER_S / (pa.signal_wavelength * 1e6)
-        nu_b = C_UM_PER_S / (pb.signal_wavelength * 1e6)
+        nu_a = c_um / (pa.signal_wavelength * 1e6)
+        nu_b = c_um / (pb.signal_wavelength * 1e6)
         return nu_a + nu_b - nu_p
 
     lo, hi = float(t_bracket[0]), float(t_bracket[1])

@@ -10,9 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from freqbin.biphoton import (BiphotonState, _lobe_width, design_phase,
-                              joint_spectrum, n_mode_state, reduce_to_bins,
-                              segment_amplitude)
+from freqbin.biphoton import (BiphotonState, _group_index_mismatch,
+                              design_phase, joint_spectrum, n_mode_state,
+                              reduce_to_bins, segment_amplitude)
 from freqbin.errors import (BinReductionError, GridResolutionError,
                             PhysicalityError)
 from freqbin.qpm import PolingSegment, TWO_PI
@@ -205,7 +205,7 @@ def _reference_reduction(sa, spec, tau_scan_points=801):
         return np.abs(np.sum(cross * np.exp(1j * np.outer(
             np.atleast_1d(tau), theta)), axis=1))
 
-    dng = [_lobe_width(spec, pt) for pt in points]
+    dng = [_group_index_mismatch(spec, pt) for pt in points]
     widths = [dng[j] * spec.segments[j].length / C for j in range(2)]
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))

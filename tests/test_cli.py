@@ -225,6 +225,18 @@ def test_hom_fit_flags_featureless_data(tmp_path):
     assert fit["V"] < 0.1
 
 
+def test_hom_fit_too_few_points_is_numerical_failure(tmp_path, capsys):
+    assert main(["hom", "synth", "--points", "2", "--out-dir",
+                 str(tmp_path)]) == 0
+    rc = main(["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
+               "--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["kind"] == "numerical"
+    assert err["error"] == "FitConvergenceError"
+    assert not (tmp_path / "hom_fit.json").exists()
+
+
 def test_hom_fit_missing_scan_is_usage_error(tmp_path, capsys):
     rc = main(["hom", "fit", "--scan", str(tmp_path / "nope.csv"),
                "--error-json", "--out-dir", str(tmp_path)])
@@ -354,6 +366,33 @@ def test_config_file_fills_unset_options(tmp_path):
                  "--out-dir", str(d3)] + ts) == 0
     _, _, rows = read_meta_and_rows(d3 / "qpm_solve.csv")
     assert float(rows[0][2]) != pytest.approx(PAIR_120[0][0], abs=1e-3)
+
+
+def test_config_values_apply_and_unknown_keys_fail(tmp_path, capsys):
+    # options with non-None defaults take config values too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"v": 0.5, "points": 11}))
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["hom", "model", "--config", str(cfg), "--out-dir",
+                 str(d1)]) == 0
+    meta, _, rows = read_meta_and_rows(d1 / "hom_model.csv")
+    assert len(rows) == 11
+    assert json.loads(meta["config"])["v"] == 0.5
+    at_zero = [r for r in rows if float(r[0]) == 0.0]
+    assert float(at_zero[0][1]) == pytest.approx(0.25, abs=1e-12)
+    # explicit flags win over config values
+    assert main(["hom", "model", "--config", str(cfg), "--points", "21",
+                 "--out-dir", str(d2)]) == 0
+    assert len(read_meta_and_rows(d2 / "hom_model.csv")[2]) == 21
+
+    cfg.write_text(json.dumps({"v": 0.5, "points": 11, "bogus": 1}))
+    capsys.readouterr()
+    rc = main(["hom", "model", "--config", str(cfg), "--error-json",
+               "--out-dir", str(tmp_path / "c")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and "bogus" in err["message"]
+    assert not (tmp_path / "c" / "hom_model.csv").exists()
 
 
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):

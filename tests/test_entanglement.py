@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin.entanglement import (FREQ_BASIS, POL_BASIS, DensityMatrix,
                                   Domain, StateVector, TomographyDataset,
@@ -183,6 +184,29 @@ def test_mode_convert_input_validation():
         mode_convert(np.eye(4) / 4.0, tau=0.0, delta_omega=1e13)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.floats(0.0, 1.0), v_frac=st.floats(0.0, 1.0),
+       phi=st.floats(0.0, TWO_PI), tau=st.floats(-3e-12, 3e-12),
+       dw_thz=st.floats(1.0, 20.0))
+def test_converted_x_state_metric_identities(p, v_frac, phi, tau, dw_thz):
+    """rho_freq then mode_convert: physical, C = V, F = (1 + V)/2 against
+    the Bell state carrying the imprinted phase phi + delta_omega tau."""
+    v = v_frac * 2.0 * np.sqrt(p * (1.0 - p))
+    dw = TWO_PI * dw_thz * 1e12
+    rho = mode_convert(rho_freq(p, v, phi), tau, dw)
+    m = rho.elements
+    assert rho.basis_labels == POL_BASIS
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
+    assert rho.eigenvalues.min() >= -1e-10
+    # at V = 2 sqrt(p(1-p)) the state is pure: two eigenvalues of
+    # rho (sy x sy) rho* (sy x sy) vanish and their square roots carry
+    # ~sqrt(eps) of rounding (1.8e-8 at worst over p in [0, 1])
+    assert concurrence(rho) == pytest.approx(v, abs=1e-7)
+    target = ideal_state(phi + dw * tau, Domain.POLARIZATION)
+    assert fidelity(rho, target) == pytest.approx(0.5 * (1.0 + v), abs=1e-12)
+
+
 # --- counts -----------------------------------------------------------------
 
 def test_p_from_counts():
@@ -208,11 +232,6 @@ def test_load_projectors_bundled():
         pi = s.projector
         assert pi.shape == (4, 4)
         assert np.trace(pi).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_load_projectors_missing():
-    with pytest.raises(FileNotFoundError):
-        load_projectors("no_such_set")
 
 
 def test_load_projectors_incomplete(tmp_path):

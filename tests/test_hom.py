@@ -188,6 +188,15 @@ def test_fit_aliased_sampling_needs_init():
     assert told.residual_norm < blind.residual_norm
 
 
+@pytest.mark.parametrize("points", [2, 5])
+def test_fit_needs_more_points_than_parameters(points):
+    scan = exact_scan(delays=np.linspace(-1e-12, 1e-12, points))
+    with pytest.raises(FitConvergenceError, match="5 model parameters"):
+        fit_homi(scan)
+    with pytest.raises(FitConvergenceError, match="5 model parameters"):
+        fit_homi(scan, init=TRUE)
+
+
 def test_fit_convergence_error_carries_state():
     scan = exact_scan()
     bad_init = {"N": 900.0, "V": 0.3, "delta_omega": 2 * np.pi * 10.0e12,

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freqbin.biphoton import segment_amplitude
 from freqbin.dispersion import Axis, SellmeierSet
 from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
-                            TemperatureRangeError)
+                            TemperatureRangeError, WavelengthRangeError)
 from freqbin.qpm import (Branch, CrystalSpec, PhaseMatchPoint, PolingSegment,
                          _bracketed_root, delta_k, crossing_temperature,
                          load_crystal, solve_period, solve_signal_idler,
@@ -164,6 +165,29 @@ def test_bad_bracket_rejected(const_crystal):
         solve_signal_idler(const_crystal, 0, bracket=(1.9e-6, 1.2e-6))
 
 
+@pytest.mark.parametrize("e_range, o_range, bad", [
+    ((1.3, 6.0), (0.2, 6.0), "1.2 um"),      # signal at the bracket's low end
+    ((0.2, 6.0), (0.2, 2.0), "2.18"),        # idler of the low-end signal
+    ((0.2, 6.0), (0.8, 6.0), "0.775 um")],   # pump
+    ids=["signal", "idler", "pump"])
+def test_span_outside_validity_is_refused(e_range, o_range, bad):
+    # signal H -> extraordinary; pump and idler V -> ordinary. Both the pair
+    # solve and the amplitude over the same span check every wavelength
+    # once, before any mismatch is evaluated.
+    spec = CrystalSpec(segments=(PolingSegment(15.0e-6, 20e-3),),
+                       temperature=25.0, pump_wavelength=775e-9,
+                       axis_map={"H": "extraordinary", "V": "ordinary"},
+                       sellmeier={"extraordinary": const_set(
+                                      "e", Axis.EXTRAORDINARY, 2.2, e_range),
+                                  "ordinary": const_set(
+                                      "o", Axis.ORDINARY, 2.3, o_range)})
+    with pytest.raises(WavelengthRangeError, match=bad):
+        solve_signal_idler(spec, 0, bracket=(1.2e-6, 1.9e-6))
+    omega = 2.0 * np.pi * C / np.linspace(1.2e-6, 1.9e-6, 101)
+    with pytest.raises(WavelengthRangeError, match=bad):
+        segment_amplitude(spec, 0, omega)
+
+
 # --- solver properties over the bundled pairings ---------------------------
 
 def test_bracketed_root_is_superlinear():
@@ -217,6 +241,10 @@ def test_pair_root_properties(pairing, t_c, segment):
     assert abs(dk(ls)) <= tol
     root = _bisect(dk, 1.2e-6, 1.9e-6, 0.0)
     assert ls == pytest.approx(root, rel=1e-12)
+    # period <-> pair round trip: 2 pi/(k_p - k_s - k_i) at the root is the
+    # segment's period up to the residual's share of the grating vector
+    rel = abs(pt.residual_mismatch) * period / (2.0 * np.pi) + 1e-13
+    assert solve_period(spec, pt) == pytest.approx(period, rel=rel)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -336,11 +364,6 @@ def test_tuning_curve_argument_validation(default_spec):
 
 
 # --- construction / loading -------------------------------------------------
-
-def test_load_crystal_missing_name():
-    with pytest.raises(FileNotFoundError):
-        load_crystal("no_such_crystal")
-
 
 def test_poling_segment_validation():
     with pytest.raises(ValueError):
