@@ -30,8 +30,8 @@ import numpy as np
 from .dispersion import Polarization, group_index
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
-from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _check_span, _mismatch,
-                  solve_signal_idler)
+from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _bracketed_root,
+                  _check_span, _mismatch, solve_signal_idler)
 
 
 def _sinc(x):
@@ -54,7 +54,7 @@ class SpectralAmplitude:
     per_segment: np.ndarray
     total: np.ndarray
     grid_meta: dict
-    segment_points: tuple = field(default=(), repr=False)
+    segment_points: tuple = field(repr=False)
 
     @property
     def d_omega(self) -> float:
@@ -192,8 +192,7 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
                              grid_meta=meta, segment_points=tuple(points))
 
 
-def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
-                   tau_scan_points: int = 801) -> BiphotonState:
+def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     """Collapse a two-process spectrum to the bin-qubit parameters.
 
     Preconditions: exactly two segments, exchange-symmetric grid, and peaks
@@ -202,9 +201,9 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     (the two processes emit from different crystal halves, so their raw
     temporal overlap is negligible; an interferometer removes that group
     delay before any interference is observed). The search scans the
-    delays within a span set by the group-delay walk-off, at a step no
-    coarser than span / (tau_scan_points - 1), with one FFT, then refines
-    the best one by golden section.
+    delays within a span set by the group-delay walk-off with one FFT,
+    then refines the best one to the root of the overlap's slope by the
+    pair solver's ``_bracketed_root``.
     """
     if sa.per_segment.shape[0] != 2:
         raise BinReductionError(
@@ -218,8 +217,7 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
             f"grid is not exchange-symmetric about omega_p/2 "
             f"(max asymmetry {sym_err:.3e} rad/s)")
 
-    points = sa.segment_points or tuple(
-        solve_signal_idler(spec, j) for j in range(2))
+    points = sa.segment_points
     centers = np.array([TWO_PI * C_M_PER_S / p.signal_wavelength
                         for p in points])
     hi = int(np.argmax(centers))        # process with H photon in bin 1
@@ -248,44 +246,38 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec,
     # exchange overlap, maximized over the compensation delay
     cross = np.conj(a_hi) * a_lo[::-1] * d_om / np.sqrt(weight_hi * weight_lo)
     theta = 2.0 * omega - omega_p
+    theta_cross = theta * cross
 
-    def overlap_mag(tau):
-        return abs(np.sum(cross * np.exp(1j * tau * theta)))
+    def slope(tau):
+        # d|O|^2/dtau = 2 Re(conj(S0) i S1) with S0 = sum(cross e^{i theta
+        # tau}) the overlap O and S1 = sum(theta cross e^{i theta tau})
+        e = np.exp(1j * tau * theta)
+        return -2.0 * (np.conj(cross @ e) * (theta_cross @ e)).imag
 
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))
                     * max(dng) / C_M_PER_S)
     # coarse scan: on the symmetric grid theta = 2 n d_om, so the overlap
     # on the delays tau_k = pi k / (size d_om) is |ifft(cross)| (times
-    # size). size is a power of two at least as long as the grid, with a
-    # delay step no coarser than 2 t_span / (tau_scan_points - 1). The
+    # size), size the power of two at or above the grid length. The
     # overlap repeats every pi / d_om in tau and the FFT's delays span one
     # such period, so they hold every value even when 2 t_span is longer.
-    need = np.pi * (int(tau_scan_points) - 1) / (2.0 * t_span * d_om)
-    size = 1 << int(np.ceil(np.log2(max(len(cross), need))))
+    size = 1 << int(np.ceil(np.log2(len(cross))))
     taus = np.fft.fftshift(np.pi * np.fft.fftfreq(size, d=d_om))
     mags = np.fft.fftshift(np.abs(np.fft.ifft(cross, size)))
     keep = np.abs(taus) <= t_span
     taus, mags = taus[keep], mags[keep]
     k = int(np.argmax(mags))
-    lo_t = taus[max(k - 1, 0)]
-    hi_t = taus[min(k + 1, len(taus) - 1)]
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo_t, hi_t
-    c1 = b - gr * (b - a)
-    c2 = a + gr * (b - a)
-    f1, f2 = overlap_mag(c1), overlap_mag(c2)
-    for _ in range(80):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = overlap_mag(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = overlap_mag(c1)
-    tau_star = 0.5 * (a + b)
-    o_mag = float(overlap_mag(tau_star))
+    tau_star = taus[k]
+    a, b = taus[max(k - 1, 0)], taus[min(k + 1, len(taus) - 1)]
+    fa, fb = slope(a), slope(b)
+    # a maximum lies between a and b only where the slope turns from
+    # rising to falling; otherwise the overlap still rises toward the
+    # +-t_span edge, and tau_k is kept
+    if fa > 0.0 > fb:
+        tau_star = _bracketed_root(slope, a, b, fa, fb,
+                                   xtol=1e-12 * (b - a))[0]
+    o_mag = float(abs(np.sum(cross * np.exp(1j * tau_star * theta))))
 
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * o_mag
 

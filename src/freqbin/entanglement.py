@@ -147,11 +147,17 @@ def fidelity(rho: DensityMatrix, target: StateVector) -> float:
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4)."""
-    m = rho.elements
-    r = m @ _SY2 @ m.conj() @ _SY2
-    lam = np.sort(np.sqrt(np.clip(np.real(np.linalg.eigvals(r)), 0.0, None)))
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
+
+    The l_i are the singular values of W^T (sy x sy) W with W = U sqrt(w)
+    from rho = U diag(w) U^dagger (Wootters, PRL 80, 2245 (1998)). Unlike
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), this
+    stays exact to rounding when some of those vanish, as on pure states.
+    """
+    w, u = np.linalg.eigh(rho.elements)
+    wm = u * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(wm.T @ _SY2 @ wm, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

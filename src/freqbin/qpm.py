@@ -11,7 +11,8 @@ Roots are located by a sign-change scan and refined inside their bracket by
 Illinois regula falsi (``_bracketed_root``): derivative-free like bisection
 and as safe, since the bracket always holds a sign change, but superlinear,
 so a pair solve or a crossing search needs a handful of evaluations.
-Everything is pure over immutable specs.
+``biphoton.reduce_to_bins`` refines its compensation delay with the same
+solver, on the overlap's slope. Everything is pure over immutable specs.
 """
 from __future__ import annotations
 
@@ -173,22 +174,18 @@ def load_crystal(source) -> CrystalSpec:
 
 
 def delta_k(spec: CrystalSpec, pump: OpticalField, signal: OpticalField,
-            idler: OpticalField, period: float | None = None,
-            unpoled: bool = False) -> float:
+            idler: OpticalField, period: float) -> float:
     """Phase mismatch k_p - k_s - k_i - 2 pi / period in rad/m.
 
-    ``unpoled=True`` drops the grating term (period ignored). The caller is
-    responsible for idler energy conservation; no check is made here.
+    ``period=np.inf`` drops the grating term. The caller is responsible
+    for idler energy conservation; no check is made here.
     """
-    if not unpoled:
-        if period is None or not period > 0.0:
-            raise ValueError(
-                "period must be > 0 (use unpoled=True for no grating)")
+    if not period > 0.0:
+        raise ValueError("period must be > 0 (np.inf for no grating)")
     kp = wavenumber(pump, spec.sellmeier_for(pump.polarization))
     ks = wavenumber(signal, spec.sellmeier_for(signal.polarization))
     ki = wavenumber(idler, spec.sellmeier_for(idler.polarization))
-    grating = 0.0 if unpoled else TWO_PI / period
-    return kp - ks - ki - grating
+    return kp - ks - ki - TWO_PI / period
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
 
 
 def solve_signal_idler(spec: CrystalSpec, segment_index: int,
-                       signal_pol=Polarization.H, idler_pol=None,
+                       signal_pol=Polarization.H,
                        branch: Branch | None = None,
                        bracket=(1.2e-6, 1.9e-6), tol: float = 1e-3,
                        scan_points: int = 241) -> PhaseMatchPoint:
@@ -270,10 +267,8 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
     segment = spec.segments[segment_index]
     period_um = segment.period * 1e6
     signal_pol = Polarization(signal_pol)
-    idler_pol = Polarization(signal_pol.other if idler_pol is None
-                             else idler_pol)
-    sets = tuple(map(spec.sellmeier_for,
-                     (spec.pump_polarization, signal_pol, idler_pol)))
+    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
+                                          signal_pol, signal_pol.other)))
 
     lam_p_um = spec.pump_wavelength * 1e6
     lo_um, hi_um = bracket[0] * 1e6, bracket[1] * 1e6
@@ -339,7 +334,7 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
         pump_wavelength=spec.pump_wavelength,
         signal_wavelength=lam_root * 1e-6,
         idler_wavelength=lam_i_um * 1e-6,
-        signal_pol=signal_pol, idler_pol=idler_pol,
+        signal_pol=signal_pol, idler_pol=signal_pol.other,
         residual_mismatch=residual)
 
 
@@ -350,17 +345,11 @@ def solve_period(spec: CrystalSpec, target: PhaseMatchPoint) -> float:
     the point was built). Raises NoPhaseMatchError when the wavevector
     balance is nonpositive (grating momentum cannot fix that sign).
     """
-    t = spec.temperature
-    kp = wavenumber(OpticalField(target.pump_wavelength,
-                                 spec.pump_polarization, t),
-                    spec.sellmeier_for(spec.pump_polarization))
-    ks = wavenumber(OpticalField(target.signal_wavelength,
-                                 target.signal_pol, t),
-                    spec.sellmeier_for(target.signal_pol))
-    ki = wavenumber(OpticalField(target.idler_wavelength,
-                                 target.idler_pol, t),
-                    spec.sellmeier_for(target.idler_pol))
-    denom = kp - ks - ki
+    denom = delta_k(spec,
+                    spec.field(target.pump_wavelength, spec.pump_polarization),
+                    spec.field(target.signal_wavelength, target.signal_pol),
+                    spec.field(target.idler_wavelength, target.idler_pol),
+                    np.inf)
     if denom <= 0.0:
         raise NoPhaseMatchError(
             "phase matching impossible in this configuration: "

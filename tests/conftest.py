@@ -6,11 +6,17 @@ have closed-form oracles (see individual tests for the arithmetic).
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from freqbin.biphoton import joint_spectrum, reduce_to_bins
 from freqbin.dispersion import Axis, Polarization, SellmeierSet, load_sellmeier
 from freqbin.qpm import (CrystalSpec, PhaseMatchPoint, PolingSegment,
                          load_crystal, solve_period)
+
+# every property test draws the same examples on every run, and none is
+# timed: the examples' costs vary with the crystal drawn
+settings.register_profile("freqbin", deadline=None, derandomize=True)
+settings.load_profile("freqbin")
 
 # bundled Sellmeier pairings: name -> (extraordinary set, ordinary set)
 PAIRINGS = {

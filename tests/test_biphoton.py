@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin.biphoton import (BiphotonState, _group_index_mismatch,
                               design_phase, joint_spectrum, n_mode_state,
@@ -184,10 +185,11 @@ def test_reduction_stable_under_grid_refinement(default_spec, default_state):
     assert fine.tau_c == pytest.approx(st.tau_c, rel=1e-12)
 
 
-def _reference_reduction(sa, spec, tau_scan_points=801):
-    """(p, V, compensation delay) by the direct delay search: the overlap
-    summed on a uniform grid of tau_scan_points delays over +-t_span (one
-    block of delays at a time), then golden-section refinement."""
+def _overlap_setup(sa, spec):
+    """(p, overlap magnitude as a function of delays, t_span), built from
+    the reduction's definitions: the exchange overlap of the normalized
+    segment amplitudes and the delay span set by the group-delay
+    walk-off."""
     points = sa.segment_points
     centers = [TWO_PI * C / pt.signal_wavelength for pt in points]
     hi = int(np.argmax(centers))
@@ -210,6 +212,14 @@ def _reference_reduction(sa, spec, tau_scan_points=801):
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))
                     * max(dng) / C)
+    return p, overlap_mag, t_span
+
+
+def _reference_reduction(sa, spec, tau_scan_points=801):
+    """(p, V, compensation delay) by the direct delay search: the overlap
+    summed on a uniform grid of tau_scan_points delays over +-t_span (one
+    block of delays at a time), then golden-section refinement."""
+    p, overlap_mag, t_span = _overlap_setup(sa, spec)
     taus = np.linspace(-t_span, t_span, tau_scan_points)
     mags = np.concatenate([overlap_mag(block)
                            for block in np.array_split(taus, 16)])
@@ -243,6 +253,52 @@ def test_delay_search_matches_direct_scan(default_spec, n_points):
         assert state.V == pytest.approx(vis, rel=1e-12), spec.name
         assert state.compensation_delay == pytest.approx(tau_star,
                                                          rel=1e-7), spec.name
+
+
+@settings(max_examples=8)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53),
+       length_mm=st.floats(10.0, 30.0))
+def test_delay_search_matches_direct_scan_on_generated_crystals(
+        pairing, t0_c, signal_um, length_mm):
+    spec = design_crystal(pairing, t0_c=t0_c, signal_um=signal_um,
+                          length_mm=length_mm)
+    sa = joint_spectrum(spec, n_points=4097)
+    state = reduce_to_bins(sa, spec)
+    p, vis, tau_star = _reference_reduction(sa, spec)
+    # abs=0: pytest.approx's default abs=1e-12 would pass any delay to 1 ps
+    assert state.p == pytest.approx(p, rel=1e-14, abs=0.0)
+    assert state.V == pytest.approx(vis, rel=1e-12, abs=0.0)
+    assert state.compensation_delay == pytest.approx(tau_star, rel=1e-7,
+                                                     abs=0.0)
+
+
+def test_delay_peak_beyond_span_keeps_edge_sample(default_spec,
+                                                  default_state):
+    """A linear spectral phase e^{i omega T} on one segment moves the
+    overlap peak by T/2. Moved past +t_span, the overlap has no maximum
+    between the FFT's last two delays in the span (its slope does not turn
+    from rising to falling there), so the search keeps the edge sample."""
+    sa = default_state.spectrum
+    _, _, t_span = _overlap_setup(sa, default_spec)
+    shift = 2.0 * (t_span + default_state.tau_c
+                   - default_state.compensation_delay)
+    per = sa.per_segment.copy()
+    per[0] = per[0] * np.exp(1j * sa.omega * shift)
+    moved = dataclasses.replace(sa, per_segment=per)
+    state = reduce_to_bins(moved, default_spec)
+    p, overlap_mag, _ = _overlap_setup(moved, default_spec)
+    delay = state.compensation_delay
+    assert all(np.isfinite([state.p, state.V, state.phi, delay]))
+    assert abs(delay) <= t_span
+    # the last of the FFT's delays pi k / (size d_om) inside the span
+    size = 2 ** int(np.ceil(np.log2(len(sa.omega))))
+    step = np.pi / (size * sa.d_omega)
+    assert delay == pytest.approx(np.floor(t_span / step) * step,
+                                  rel=1e-12, abs=0.0)
+    assert state.V == pytest.approx(
+        2.0 * np.sqrt(p * (1.0 - p)) * overlap_mag(delay)[0], rel=1e-12,
+        abs=0.0)
 
 
 def test_intensity_stable_under_grid_refinement(default_spec, default_state):
