@@ -101,8 +101,7 @@ class BiphotonState:
             raise PhysicalityError("tau_c must be > 0")
 
 
-def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s,
-                      signal_pol=Polarization.H):
+def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
     """Complex emission amplitude of one segment at H-photon frequency(ies).
 
     Follows the exit-face convention in the module docstring; magnitude is
@@ -110,9 +109,8 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s,
     |A| = scale * L.
     """
     seg = spec.segments[segment_index]
-    signal_pol = Polarization(signal_pol)
     sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
-                                          signal_pol, signal_pol.other)))
+                                          Polarization.H, Polarization.V)))
     omega = np.asarray(omega_s, dtype=float)
     lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
     _check_span(spec, sets, lam_s_um.min(), lam_s_um.max())
@@ -146,17 +144,14 @@ def _group_index_mismatch(spec, point):
 
 
 def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
-                   lobes: float = 6.0, signal_pol=Polarization.H,
-                   branch=None) -> SpectralAmplitude:
+                   lobes: float = 6.0) -> SpectralAmplitude:
     """Coherent per-segment amplitudes on a shared exchange-symmetric grid.
 
     The grid is built symmetric about omega_p/2 (including the midpoint),
     spanning every segment's phase-matched peak plus ``lobes`` sinc lobes of
     margin, with at least 20 points per main lobe enforced.
     """
-    points = [solve_signal_idler(spec, j, signal_pol=signal_pol,
-                                 branch=branch)
-              for j in range(len(spec.segments))]
+    points = [solve_signal_idler(spec, j) for j in range(len(spec.segments))]
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
     centers = [TWO_PI * C_M_PER_S / p.signal_wavelength for p in points]
 
@@ -179,7 +174,7 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     x = np.concatenate([-pos[::-1], [0.0], pos])
     omega = 0.5 * omega_p + x
 
-    per = np.vstack([segment_amplitude(spec, j, omega, signal_pol=signal_pol)
+    per = np.vstack([segment_amplitude(spec, j, omega)
                      for j in range(len(spec.segments))])
     total = per.sum(axis=0)
     norm = np.sqrt(np.sum(np.abs(total) ** 2) * dx)

@@ -25,28 +25,22 @@ from .entanglement import (Domain, DensityMatrix, concurrence, fidelity,
                            ideal_state, load_projectors, mle_tomography,
                            mode_convert, rho_freq, simulate_counts,
                            TomographyDataset)
-from .errors import (BasisMismatchError, BinReductionError,
-                     BranchAmbiguityError, FitConvergenceError, FreqbinError,
-                     GridResolutionError, NoPhaseMatchError, PhysicalityError,
-                     TemperatureRangeError, TomographyDataError,
-                     WavelengthRangeError)
+from .errors import (BinReductionError, BranchAmbiguityError,
+                     FitConvergenceError, GridResolutionError,
+                     NoPhaseMatchError, PhysicalityError, TomographyDataError)
 from .hom import HomParams, HomScan, fit_homi, homi_from_state, homi_rate, \
     synthesize_scan
-from .qpm import (C_M_PER_S, Branch, CrystalSpec, PhaseMatchPoint,
+from .qpm import (C_M_PER_S, TWO_PI, Branch, CrystalSpec, PhaseMatchPoint,
                   crossing_temperature, load_crystal, solve_period,
                   solve_signal_idler, tuning_curve)
 
-TWO_PI = 2.0 * np.pi
-
+# PhysicalityError is also a ValueError, so this tuple is tested first
 _NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
               BinReductionError, GridResolutionError, PhysicalityError)
-_USAGE = (FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
-          WavelengthRangeError, TemperatureRangeError, TomographyDataError,
-          BasisMismatchError, KeyError, ValueError)
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+_USAGE = (FileNotFoundError, IsADirectoryError, KeyError, ValueError)
+# namespace entries left out of each output's recorded configuration
+_UNRECORDED = {"func", "parser", "error_json", "timestamp", "out_dir",
+               "config"}
 
 
 def _fmt(x) -> str:
@@ -56,121 +50,100 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _out_dir(args) -> Path:
-    d = Path(args.out_dir or os.environ.get("FREQBIN_OUT_DIR") or ".")
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
+    """Write one output file into the output directory and report its path.
+
+    Without ``header`` the file is JSON: ``payload`` plus a ``meta`` block.
+    With it the file is CSV: ``# key: value`` metadata lines, the header,
+    then ``rows``, whose strings are written as they are and numbers
+    through ``_fmt``.
+    """
+    meta = {"tool": "freqbin", "version": __version__,
+            "timestamp": (args.timestamp
+                          or datetime.now(timezone.utc).isoformat()),
+            "seed": seed,
+            "config": {k: v for k, v in sorted(vars(args).items())
+                       if k not in _UNRECORDED}}
+    if header is None:
+        text = json.dumps({"meta": meta, **payload}, indent=2,
+                          sort_keys=True)
+    else:
+        lines = [f"# tool: freqbin {__version__}",
+                 f"# timestamp: {meta['timestamp']}", f"# seed: {seed}",
+                 f"# config: {json.dumps(meta['config'], sort_keys=True)}",
+                 header]
+        lines.extend(",".join(c if isinstance(c, str) else _fmt(c)
+                              for c in row) for row in rows)
+        text = "\n".join(lines)
+    out = Path(args.out_dir or os.environ.get("FREQBIN_OUT_DIR") or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text + "\n")
+    print(f"wrote {out / name}")
 
 
-def _resolved(args) -> dict:
-    skip = {"func", "parser", "error_json", "timestamp", "out_dir",
-            "config"}
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not callable(v)}
-
-
-def _meta(args, seed=None) -> dict:
-    return {"tool": "freqbin", "version": __version__,
-            "timestamp": args.timestamp or _now(), "seed": seed,
-            "config": _resolved(args)}
-
-
-def _csv_text(args, header: str, rows, seed=None) -> str:
-    m = _meta(args, seed)
-    lines = [f"# tool: {m['tool']} {m['version']}",
-             f"# timestamp: {m['timestamp']}",
-             f"# seed: {m['seed']}",
-             f"# config: {json.dumps(m['config'], sort_keys=True)}",
-             header]
-    lines.extend(",".join(_fmt(c) if not isinstance(c, str) else c
-                          for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(args, payload: dict, seed=None) -> str:
-    return json.dumps({"meta": _meta(args, seed), **payload},
-                      indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args, filename: str, text: str) -> Path:
-    path = _out_dir(args) / filename
-    path.write_text(text)
-    print(f"wrote {path}")
-    return path
+def _read_columns(path, names, what: str) -> list:
+    """Cells of the columns ``names`` of a metadata-prefixed CSV, as one
+    list of strings per column; ``what`` names the file in errors."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    table = [[c.strip() for c in line.split(",")]
+             for line in map(str.strip, path.read_text().splitlines())
+             if line and not line.startswith("#")]
+    if len(table) < 2:
+        raise ValueError(f"{path} contains no data rows")
+    header, rows = table[0], table[1:]
+    for name in names:
+        if name not in header:
+            raise ValueError(f"{what} lacks required column '{name}'")
+    return [[r[header.index(name)] for r in rows] for name in names]
 
 
 def _load_spec(args) -> CrystalSpec:
-    spec = load_crystal(getattr(args, "crystal", None) or "default")
+    spec = load_crystal(args.crystal or "default")
     if getattr(args, "t_c", None) is not None:
         spec = replace(spec, temperature=float(args.t_c))
     return spec
 
 
-def _read_table(path: Path):
-    """Rows of a metadata-prefixed CSV as (header, list-of-cell-lists)."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    header = None
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip() for c in line.split(",")]
-            continue
-        rows.append([c.strip() for c in line.split(",")])
-    if header is None or not rows:
-        raise ValueError(f"{path} contains no data rows")
-    return header, rows
-
-
-def _point_row(spec: CrystalSpec, j: int, pt: PhaseMatchPoint):
-    return (str(j), _fmt(spec.segments[j].period * 1e6),
-            _fmt(pt.signal_wavelength * 1e9), _fmt(pt.idler_wavelength * 1e9),
-            pt.signal_pol.value, pt.idler_pol.value,
-            _fmt(pt.residual_mismatch))
+def _point(spec: CrystalSpec, j: int, pt: PhaseMatchPoint) -> dict:
+    """The record of segment j's solved pair, in the CSV column order."""
+    return {"period_um": spec.segments[j].period * 1e6,
+            "lambda_s_nm": pt.signal_wavelength * 1e9,
+            "lambda_i_nm": pt.idler_wavelength * 1e9,
+            "signal_pol": pt.signal_pol.value,
+            "idler_pol": pt.idler_pol.value,
+            "residual_rad_per_m": pt.residual_mismatch}
 
 
 # --- qpm ------------------------------------------------------------------
 
 def cmd_qpm_solve(args) -> int:
     spec = _load_spec(args)
-    branch = Branch(args.branch) if args.branch else None
     segments = ([int(args.segment)] if args.segment is not None
                 else list(range(len(spec.segments))))
-    header = ("segment,period_um,lambda_s_nm,lambda_i_nm,signal_pol,"
-              "idler_pol,residual_rad_per_m")
-    rows = []
     points = {}
     for j in segments:
         pt = solve_signal_idler(spec, j, signal_pol=args.signal_pol,
-                                branch=branch)
-        points[j] = pt
-        rows.append(_point_row(spec, j, pt))
+                                branch=args.branch)
+        points[j] = _point(spec, j, pt)
         print(f"segment {j}: signal {pt.signal_wavelength*1e9:.3f} nm "
               f"({pt.signal_pol.value}) / idler "
               f"{pt.idler_wavelength*1e9:.3f} nm ({pt.idler_pol.value}), "
               f"residual {pt.residual_mismatch:.2e} rad/m")
     if (args.format or "csv") == "json":
-        payload = {"points": {str(j): {
-            "period_um": spec.segments[j].period * 1e6,
-            "lambda_s_nm": p.signal_wavelength * 1e9,
-            "lambda_i_nm": p.idler_wavelength * 1e9,
-            "signal_pol": p.signal_pol.value,
-            "idler_pol": p.idler_pol.value,
-            "residual_rad_per_m": p.residual_mismatch}
-            for j, p in points.items()}}
-        _emit(args, "qpm_solve.json", _json_text(args, payload))
+        _write(args, "qpm_solve.json", {"points": {
+            str(j): rec for j, rec in points.items()}})
     else:
-        _emit(args, "qpm_solve.csv", _csv_text(args, header, rows))
+        _write(args, "qpm_solve.csv",
+               header=",".join(["segment", *points[segments[0]]]),
+               rows=[(j, *rec.values()) for j, rec in points.items()])
     return 0
 
 
 def cmd_qpm_period(args) -> int:
     spec = _load_spec(args)
-    lam_s = args.signal_nm * 1e-9
-    lam_i = args.idler_nm * 1e-9
+    lam_s, lam_i = args.signal_nm * 1e-9, args.idler_nm * 1e-9
     lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)   # pump slaved to conservation
     spec = replace(spec, pump_wavelength=lam_p)
     signal_pol = Polarization(args.signal_pol)
@@ -180,10 +153,10 @@ def cmd_qpm_period(args) -> int:
     period = solve_period(spec, pt)
     print(f"period {period*1e6:.6f} um (pump {lam_p*1e9:.4f} nm, "
           f"T {spec.temperature:.3f} C)")
-    payload = {"period_um": period * 1e6, "pump_nm": lam_p * 1e9,
-               "signal_nm": args.signal_nm, "idler_nm": args.idler_nm,
-               "temperature_C": spec.temperature}
-    _emit(args, "qpm_period.json", _json_text(args, payload))
+    _write(args, "qpm_period.json", {
+        "period_um": period * 1e6, "pump_nm": lam_p * 1e9,
+        "signal_nm": args.signal_nm, "idler_nm": args.idler_nm,
+        "temperature_C": spec.temperature})
     return 0
 
 
@@ -207,21 +180,14 @@ def cmd_qpm_tune(args) -> int:
         to_csv = lambda v: v * 1e9
     curve = tuning_curve(spec, int(args.segment), variable=variable,
                          sweep=sweep, steps=int(args.steps),
-                         signal_pol=args.signal_pol,
-                         branch=Branch(args.branch) if args.branch else None)
-    rows = []
-    for tp in curve:
-        if tp.point is None:
-            rows.append((_fmt(to_csv(tp.value)), "nan", "nan", "nan"))
-        else:
-            rows.append((_fmt(to_csv(tp.value)),
-                         _fmt(tp.point.signal_wavelength * 1e9),
-                         _fmt(tp.point.idler_wavelength * 1e9),
-                         _fmt(tp.point.residual_mismatch)))
+                         signal_pol=args.signal_pol, branch=args.branch)
+    rows = [(to_csv(tp.value), *((None,) * 3 if tp.point is None else (
+        tp.point.signal_wavelength * 1e9, tp.point.idler_wavelength * 1e9,
+        tp.point.residual_mismatch))) for tp in curve]
     n_ok = sum(tp.point is not None for tp in curve)
     print(f"{variable} sweep: {n_ok}/{len(curve)} points phase-matched")
-    _emit(args, "qpm_tune.csv", _csv_text(
-        args, "variable,lambda_s_nm,lambda_i_nm,residual_rad_per_m", rows))
+    _write(args, "qpm_tune.csv", rows=rows,
+           header="variable,lambda_s_nm,lambda_i_nm,residual_rad_per_m")
     return 0
 
 
@@ -234,152 +200,118 @@ def cmd_qpm_crossing(args) -> int:
     print(f"crossing temperature {t_star:.6f} C; common pair "
           f"{pts[0].signal_wavelength*1e9:.3f} / "
           f"{pts[0].idler_wavelength*1e9:.3f} nm, splitting {dw:.4f} THz")
-    payload = {"crossing_temperature_C": t_star,
-               "splitting_thz": dw,
-               "points": {str(j): {"lambda_s_nm": p.signal_wavelength * 1e9,
-                                   "lambda_i_nm": p.idler_wavelength * 1e9,
-                                   "signal_pol": p.signal_pol.value,
-                                   "idler_pol": p.idler_pol.value}
-                          for j, p in enumerate(pts)}}
-    _emit(args, "qpm_crossing.json", _json_text(args, payload))
+    keys = ("lambda_s_nm", "lambda_i_nm", "signal_pol", "idler_pol")
+    _write(args, "qpm_crossing.json", {
+        "crossing_temperature_C": t_star, "splitting_thz": dw,
+        "points": {str(j): {k: _point(at, j, p)[k] for k in keys}
+                   for j, p in enumerate(pts)}})
     return 0
 
 
 # --- spectrum -------------------------------------------------------------
 
-def _state_payload(state: BiphotonState) -> dict:
-    return {"p": state.p, "V": state.V, "phi_rad": state.phi,
-            "delta_omega_rad_s": state.delta_omega,
-            "delta_omega_thz": state.delta_omega / (TWO_PI * 1e12),
-            "tau_c_s": state.tau_c, "tau_c_ps": state.tau_c * 1e12,
-            "bin_centers_rad_s": list(state.bin_centers),
-            "compensation_delay_s": state.compensation_delay,
-            "flags": []}
-
-
 def cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     sa = joint_spectrum(spec, n_points=int(args.points),
                         lobes=float(args.lobes))
-    rows = [(_fmt(w), _fmt(TWO_PI * C_M_PER_S / w * 1e9), _fmt(t.real),
-             _fmt(t.imag), _fmt(abs(t) ** 2))
-            for w, t in zip(sa.omega, sa.total)]
-    _emit(args, "spectrum_jsa.csv", _csv_text(
-        args, "omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity", rows))
+    _write(args, "spectrum_jsa.csv",
+           header="omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity",
+           rows=[(w, TWO_PI * C_M_PER_S / w * 1e9, t.real, t.imag,
+                  abs(t) ** 2) for w, t in zip(sa.omega, sa.total)])
 
     if len(spec.segments) == 2:
-        state = reduce_to_bins(sa, spec)
-        payload = {"state": _state_payload(state)}
-        print(f"p = {state.p:.6f}, V = {state.V:.6f}, "
-              f"phi = {state.phi:.6f} rad, "
-              f"splitting {state.delta_omega/(TWO_PI*1e12):.4f} THz, "
-              f"tau_c {state.tau_c*1e12:.4f} ps")
+        st = reduce_to_bins(sa, spec)
+        state = {"p": st.p, "V": st.V, "phi_rad": st.phi,
+                 "delta_omega_rad_s": st.delta_omega,
+                 "delta_omega_thz": st.delta_omega / (TWO_PI * 1e12),
+                 "tau_c_s": st.tau_c, "tau_c_ps": st.tau_c * 1e12,
+                 "bin_centers_rad_s": list(st.bin_centers),
+                 "compensation_delay_s": st.compensation_delay, "flags": []}
+        print(f"p = {st.p:.6f}, V = {st.V:.6f}, phi = {st.phi:.6f} rad, "
+              f"splitting {st.delta_omega/(TWO_PI*1e12):.4f} THz, "
+              f"tau_c {st.tau_c*1e12:.4f} ps")
     else:
-        payload = {"state": {
-            "p": None, "V": None, "phi_rad": None,
-            "delta_omega_rad_s": None, "tau_c_s": None,
-            "flags": ["v_undefined_single_process"],
-            "note": f"{len(spec.segments)} emission process(es); "
-                    "two-bin reduction requires exactly two"}}
+        state = {"p": None, "V": None, "phi_rad": None,
+                 "delta_omega_rad_s": None, "tau_c_s": None,
+                 "flags": ["v_undefined_single_process"],
+                 "note": f"{len(spec.segments)} emission process(es); "
+                         "two-bin reduction requires exactly two"}
         print("single emission process: V undefined (flagged in state JSON)")
-    _emit(args, "spectrum_state.json", _json_text(args, payload))
+    _write(args, "spectrum_state.json", {"state": state})
     return 0
 
 
 # --- hom ------------------------------------------------------------------
 
-def _hom_grid(args):
+def _hom(args):
+    """The beat-model parameters and the delay grid of the HOM options."""
+    params = HomParams(N=float(args.n), V=float(args.v),
+                       delta_omega=TWO_PI * float(args.dw_thz) * 1e12,
+                       tau_c=float(args.tauc_ps) * 1e-12,
+                       tau_offset=float(args.tau0_fs) * 1e-15)
     r = float(args.range_ps) * 1e-12
-    return np.linspace(-r, r, int(args.points))
-
-
-def _hom_params(args) -> HomParams:
-    return HomParams(N=float(args.n), V=float(args.v),
-                     delta_omega=TWO_PI * float(args.dw_thz) * 1e12,
-                     tau_c=float(args.tauc_ps) * 1e-12,
-                     tau_offset=float(args.tau0_fs) * 1e-15)
+    return params, np.linspace(-r, r, int(args.points))
 
 
 def cmd_hom_model(args) -> int:
-    params = _hom_params(args)
-    taus = _hom_grid(args)
+    params, taus = _hom(args)
     vals = homi_rate(params, taus)
-    rows = [(_fmt(t * 1e15), _fmt(v), _fmt(0.0))
-            for t, v in zip(taus, vals)]
     print(f"model curve: {len(taus)} points, I(0)/N = "
           f"{homi_rate(params, 0.0)/params.N:.6f}")
-    _emit(args, "hom_model.csv", _csv_text(args, "tau_fs,counts,sigma", rows))
+    _write(args, "hom_model.csv", header="tau_fs,counts,sigma",
+           rows=[(t * 1e15, v, 0.0) for t, v in zip(taus, vals)])
     return 0
 
 
 def cmd_hom_synth(args) -> int:
-    params = _hom_params(args)
-    taus = _hom_grid(args)
+    params, taus = _hom(args)
     scan = synthesize_scan(params, taus, float(args.pairs), int(args.seed))
-    rows = [(_fmt(t * 1e15), _fmt(c), _fmt(s))
-            for t, c, s in zip(scan.delays, scan.counts, scan.uncertainties)]
     print(f"synthesized {len(taus)} points at ~{args.pairs:g} pairs/point "
           f"(seed {args.seed})")
-    _emit(args, "hom_synth.csv",
-          _csv_text(args, "tau_fs,counts,sigma", rows, seed=int(args.seed)))
+    _write(args, "hom_synth.csv", header="tau_fs,counts,sigma",
+           rows=zip(scan.delays * 1e15, scan.counts, scan.uncertainties),
+           seed=int(args.seed))
     return 0
 
 
 def cmd_hom_fit(args) -> int:
-    header, rows = _read_table(Path(args.scan))
-    idx = {name: k for k, name in enumerate(header)}
-    for need in ("tau_fs", "counts", "sigma"):
-        if need not in idx:
-            raise ValueError(f"scan file lacks required column '{need}'")
-    taus = np.array([float(r[idx["tau_fs"]]) for r in rows]) * 1e-15
-    counts = np.array([float(r[idx["counts"]]) for r in rows])
-    sigma = np.array([float(r[idx["sigma"]]) for r in rows])
+    taus, counts, sigma = (np.array([float(c) for c in col]) for col in
+                           _read_columns(args.scan, ("tau_fs", "counts",
+                                                     "sigma"), "scan file"))
     if np.all(sigma <= 0.0):
         sigma = np.sqrt(np.maximum(counts, 1.0))
-    scan = HomScan(delays=taus, counts=counts, uncertainties=sigma)
-    init = json.loads(args.init) if args.init else None
-    fit = fit_homi(scan, init=init)
+    scan = HomScan(delays=taus * 1e-15, counts=counts, uncertainties=sigma)
+    fit = fit_homi(scan, init=json.loads(args.init) if args.init else None)
     se = fit.stderr
     print(f"V = {fit.V:.6f} +- {se['V']:.6f}, "
           f"dw/2pi = {fit.delta_omega/(TWO_PI*1e12):.6f} THz, "
           f"tau_c = {fit.tau_c*1e12:.6f} ps, flags = {list(fit.flags)}")
-    payload = {"fit": {
-        "N": fit.N, "V": fit.V,
-        "delta_omega_rad_s": fit.delta_omega,
+    _write(args, "hom_fit.json", {"fit": {
+        "N": fit.N, "V": fit.V, "delta_omega_rad_s": fit.delta_omega,
         "delta_omega_thz": fit.delta_omega / (TWO_PI * 1e12),
         "tau_c_s": fit.tau_c, "tau_c_ps": fit.tau_c * 1e12,
         "tau_offset_s": fit.tau_offset,
         "stderr": {k: float(v) for k, v in se.items()},
         "residual_norm": fit.residual_norm, "n_iter": fit.n_iter,
         "flags": list(fit.flags)},
-        "covariance": np.asarray(fit.covariance).tolist()}
-    _emit(args, "hom_fit.json", _json_text(args, payload))
+        "covariance": np.asarray(fit.covariance).tolist()})
     return 0
 
 
 # --- tomo -----------------------------------------------------------------
 
 def _rho_from_args(args) -> DensityMatrix:
-    if getattr(args, "rho", None):
+    if args.rho:
         path = Path(args.rho)
         if not path.exists():
             raise FileNotFoundError(f"no such file: {path}")
         payload = json.loads(path.read_text())
-        return DensityMatrix.from_json_dict(
-            payload.get("rho", payload))
+        return DensityMatrix.from_json_dict(payload.get("rho", payload))
     rho = rho_freq(float(args.p), float(args.v), float(args.phi))
-    tau = getattr(args, "tau_fs", None)
-    if tau is not None:
-        rho = mode_convert(rho, float(tau) * 1e-15,
+    if args.tau_fs is not None:
+        rho = mode_convert(rho, float(args.tau_fs) * 1e-15,
                            TWO_PI * float(args.dw_thz) * 1e12)
     return rho
-
-
-def _rho_payload(rho: DensityMatrix, extra=None) -> dict:
-    d = {"rho": rho.to_json_dict()}
-    if extra:
-        d.update(extra)
-    return d
 
 
 def cmd_tomo_simulate(args) -> int:
@@ -387,44 +319,37 @@ def cmd_tomo_simulate(args) -> int:
     settings = load_projectors(args.projectors)
     seed = None if args.seed is None else int(args.seed)
     data = simulate_counts(rho, settings, float(args.expected_total), seed)
-    rows = [(s.setting_id, s.proj_a, s.proj_b, _fmt(c))
-            for s, c in zip(data.settings, data.counts)]
     kind = "noiseless means" if seed is None else f"Poisson (seed {seed})"
-    print(f"simulated {len(rows)} settings, {kind}, "
+    print(f"simulated {len(data.counts)} settings, {kind}, "
           f"total {data.counts.sum():.1f}")
-    _emit(args, "tomo_counts.csv",
-          _csv_text(args, "setting_id,proj_a,proj_b,counts", rows, seed=seed))
+    _write(args, "tomo_counts.csv", header="setting_id,proj_a,proj_b,counts",
+           rows=[(s.setting_id, s.proj_a, s.proj_b, c)
+                 for s, c in zip(data.settings, data.counts)], seed=seed)
     return 0
 
 
 def cmd_tomo_reconstruct(args) -> int:
-    header, rows = _read_table(Path(args.data))
-    idx = {name: k for k, name in enumerate(header)}
-    for need in ("proj_a", "proj_b", "counts"):
-        if need not in idx:
-            raise ValueError(f"dataset lacks required column '{need}'")
+    proj_a, proj_b, counts = _read_columns(
+        args.data, ("proj_a", "proj_b", "counts"), "dataset")
     settings = load_projectors(args.projectors)
     by_pair = {(s.proj_a, s.proj_b): s for s in settings}
-    chosen, counts = [], []
-    for r in rows:
-        key = (r[idx["proj_a"]], r[idx["proj_b"]])
+    chosen = []
+    for key in zip(proj_a, proj_b):
         if key not in by_pair:
             raise TomographyDataError(
                 f"projection pair {key} not in set '{args.projectors}'")
         chosen.append(by_pair[key])
-        counts.append(float(r[idx["counts"]]))
     data = TomographyDataset(settings=tuple(chosen),
-                             counts=np.array(counts))
+                             counts=np.array([float(c) for c in counts]))
     result = mle_tomography(data, full_output=True)
-    rho = result.rho
     print(f"reconstructed in {result.n_iter} iterations, "
           f"log-likelihood {result.log_likelihood:.6f}, "
-          f"purity {rho.purity:.6f}")
-    payload = _rho_payload(rho, {
+          f"purity {result.rho.purity:.6f}")
+    _write(args, "tomo_rho.json", {
+        "rho": result.rho.to_json_dict(),
         "diagnostics": {"log_likelihood": result.log_likelihood,
                         "n_iter": result.n_iter,
                         "converged": result.converged}})
-    _emit(args, "tomo_rho.json", _json_text(args, payload))
     return 0
 
 
@@ -437,11 +362,9 @@ def cmd_tomo_metrics(args) -> int:
     c = concurrence(rho)
     print(f"F = {f:.6f}, C = {c:.6f} (target phase {phi_t:g} rad, "
           f"{domain.value} basis)")
-    payload = {"metrics": {"fidelity": f, "concurrence": c,
-                           "purity": rho.purity,
-                           "target_phi_rad": phi_t,
-                           "basis": list(rho.basis_labels)}}
-    _emit(args, "tomo_metrics.json", _json_text(args, payload))
+    _write(args, "tomo_metrics.json", {"metrics": {
+        "fidelity": f, "concurrence": c, "purity": rho.purity,
+        "target_phi_rad": phi_t, "basis": list(rho.basis_labels)}})
     return 0
 
 
@@ -451,17 +374,14 @@ def cmd_tomo_convert(args) -> int:
     phase = float(np.mod(dw * tau, TWO_PI))
     print(f"phase delta_omega*tau = {phase:.6f} rad = "
           f"{phase/np.pi:.4f} pi (mod 2 pi)")
-    extra = {"conversion": {"tau_fs": float(args.tau_fs),
-                            "delta_omega_thz": float(args.dw_thz),
-                            "phase_rad": phase,
-                            "phase_over_pi": phase / np.pi}}
-    if getattr(args, "rho", None):
-        rho_in = _rho_from_args(args)
-        rho_out = mode_convert(rho_in, tau, dw)
-        payload = _rho_payload(rho_out, extra)
-    else:
-        payload = extra
-    _emit(args, "tomo_convert.json", _json_text(args, payload))
+    payload = {"conversion": {"tau_fs": float(args.tau_fs),
+                              "delta_omega_thz": float(args.dw_thz),
+                              "phase_rad": phase,
+                              "phase_over_pi": phase / np.pi}}
+    if args.rho:
+        payload["rho"] = mode_convert(_rho_from_args(args), tau,
+                                      dw).to_json_dict()
+    _write(args, "tomo_convert.json", payload)
     return 0
 
 
@@ -486,54 +406,71 @@ def cmd_tomo_table1(args) -> int:
         rec = mle_tomography(data)
         f_mle = fidelity(rec, ideal_state(phi, Domain.POLARIZATION))
         c_mle = concurrence(rec)
-        rows.append((_fmt(tau_fs), _fmt(i_over_n), _fmt(phi / np.pi),
-                     _fmt(f_model), _fmt(c_model), _fmt(f_mle), _fmt(c_mle)))
+        rows.append((tau_fs, i_over_n, phi / np.pi, f_model, c_model, f_mle,
+                     c_mle))
         print(f"tau = {tau_fs:7.1f} fs: I/N = {i_over_n:.4f}, "
               f"phi = {phi/np.pi:.4f} pi, F = {f_model:.4f}, "
               f"C = {c_model:.4f} (MLE: F = {f_mle:.4f}, C = {c_mle:.4f})")
-    _emit(args, "tomo_table1.csv", _csv_text(
-        args, "tau_fs,i_over_n,phi_over_pi,fidelity,concurrence,"
-        "fidelity_mle,concurrence_mle", rows, seed=int(args.seed)))
+    _write(args, "tomo_table1.csv", rows=rows, seed=int(args.seed),
+           header="tau_fs,i_over_n,phi_over_pi,fidelity,concurrence,"
+                  "fidelity_mle,concurrence_mle")
     return 0
 
 
 # --- wiring ---------------------------------------------------------------
 
-def _add_common(sp):
-    sp.set_defaults(parser=sp)
-    sp.add_argument("--config", default=None,
-                    help="JSON file with default option values")
-    sp.add_argument("--out-dir", default=None,
-                    help="output directory (default $FREQBIN_OUT_DIR or .)")
-    sp.add_argument("--timestamp", default=None,
-                    help="override embedded timestamp (reproducible bytes)")
-    sp.add_argument("--error-json", action="store_true",
-                    help="print machine-readable JSON to stderr on failure")
+def _opt(*flags, **kwargs):
+    """One option declaration: ``add_argument``'s arguments."""
+    return flags, kwargs
 
 
-def _add_crystal(sp, temperature=True):
-    sp.add_argument("--crystal", default=None,
-                    help="crystal config: bundled name or JSON path "
-                         "(default: bundled 'default')")
-    if temperature:
-        sp.add_argument("--t-c", type=float, default=None,
-                        help="override crystal temperature [degC]")
+_COMMON = (
+    _opt("--config", help="JSON file with default option values"),
+    _opt("--out-dir", help="output directory (default $FREQBIN_OUT_DIR or .)"),
+    _opt("--timestamp",
+         help="override embedded timestamp (reproducible bytes)"),
+    _opt("--error-json", action="store_true",
+         help="print machine-readable JSON to stderr on failure"))
+_CRYSTAL = _opt("--crystal", help="crystal config: bundled name or JSON "
+                                  "path (default: bundled 'default')")
+_T_C = _opt("--t-c", type=float, help="override crystal temperature [degC]")
+_SIGNAL_POL = _opt("--signal-pol", default="H", choices=("H", "V"))
+_BRANCH = _opt("--branch", choices=tuple(b.value for b in Branch))
+_PROJECTORS = _opt("--projectors", default="james16")
+_EXPECTED_TOTAL = _opt("--expected-total", type=float, default=4000.0,
+                       help="flux scale: mean counts of one full-basis "
+                            "group (~expected_total/4 per setting)")
+_DW_THZ = _opt("--dw-thz", type=float, default=11.5,
+               help="bin splitting delta_omega/2pi [THz]")
+_TAUC_PS = _opt("--tauc-ps", type=float, default=2.40,
+                help="triangular envelope half-base [ps]")
+_HOM = (
+    _opt("--n", type=float, default=1.0,
+         help="baseline level N (far-delay rate = N/2)"),
+    _opt("--v", type=float, default=0.934, help="visibility"),
+    _DW_THZ, _TAUC_PS,
+    _opt("--tau0-fs", type=float, default=0.0,
+         help="envelope center offset [fs]"),
+    _opt("--range-ps", type=float, default=3.0, help="scan half-range [ps]"),
+    _opt("--points", type=int, default=241, help="number of delay points"))
+_P = _opt("--p", type=float, default=0.516,
+          help="population of the H-in-high-bin process")
+_V = _opt("--v", type=float, default=0.934, help="coherence")
+_PHI = _opt("--phi", type=float, default=0.0, help="relative phase [rad]")
+_STATE = (_P, _V, _PHI,
+          _opt("--rho", help="density-matrix JSON path (overrides --p/--v)"),
+          _opt("--tau-fs", type=float, help="mode-conversion delay [fs] "
+                                            "(maps to polarization basis)"),
+          _DW_THZ)
 
 
-def _add_hom_params(sp):
-    sp.add_argument("--n", type=float, default=1.0,
-                    help="baseline level N (far-delay rate = N/2)")
-    sp.add_argument("--v", type=float, default=0.934, help="visibility")
-    sp.add_argument("--dw-thz", type=float, default=11.5,
-                    help="bin splitting delta_omega/2pi [THz]")
-    sp.add_argument("--tauc-ps", type=float, default=2.40,
-                    help="triangular envelope half-base [ps]")
-    sp.add_argument("--tau0-fs", type=float, default=0.0,
-                    help="envelope center offset [fs]")
-    sp.add_argument("--range-ps", type=float, default=3.0,
-                    help="scan half-range [ps]")
-    sp.add_argument("--points", type=int, default=241,
-                    help="number of delay points")
+def _command(parent, name, func, help, *options):
+    """Add subcommand ``name`` running ``func`` with ``options`` followed
+    by the options every subcommand takes."""
+    sp = parent.add_parser(name, help=help)
+    for flags, kwargs in options + _COMMON:
+        sp.add_argument(*flags, **kwargs)
+    sp.set_defaults(func=func, parser=sp)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -545,155 +482,73 @@ def _build_parser() -> argparse.ArgumentParser:
                     version=f"freqbin {__version__}")
     top = ap.add_subparsers(dest="command")
 
-    # qpm
-    qpm = top.add_parser("qpm", help="phase-matching design tools")
-    qsub = qpm.add_subparsers(dest="subcommand")
+    qsub = top.add_parser("qpm", help="phase-matching design tools") \
+        .add_subparsers(dest="subcommand")
+    _command(qsub, "solve", cmd_qpm_solve,
+             "solve signal/idler for a segment", _CRYSTAL, _T_C,
+             _opt("--segment", type=int,
+                  help="segment index (default: all segments)"),
+             _SIGNAL_POL, _BRANCH,
+             _opt("--format", choices=("csv", "json")))
+    _command(qsub, "period", cmd_qpm_period,
+             "poling period for a target pair", _CRYSTAL, _T_C,
+             _opt("--signal-nm", type=float, required=True),
+             _opt("--idler-nm", type=float, required=True), _SIGNAL_POL)
+    _command(qsub, "tune", cmd_qpm_tune, "tuning curve over T or pump",
+             _CRYSTAL, _T_C, _opt("--segment", type=int, default=0),
+             _opt("--t-from-c", type=float), _opt("--t-to-c", type=float),
+             _opt("--pump-from-nm", type=float),
+             _opt("--pump-to-nm", type=float),
+             _opt("--steps", type=int, default=41), _SIGNAL_POL, _BRANCH)
+    _command(qsub, "crossing", cmd_qpm_crossing,
+             "temperature where both segments emit one pair", _CRYSTAL,
+             _opt("--t-lo-c", type=float, default=100.0),
+             _opt("--t-hi-c", type=float, default=140.0))
 
-    s = qsub.add_parser("solve", help="solve signal/idler for a segment")
-    _add_crystal(s)
-    s.add_argument("--segment", type=int, default=None,
-                   help="segment index (default: all segments)")
-    s.add_argument("--signal-pol", default="H", choices=("H", "V"))
-    s.add_argument("--branch", default=None,
-                   choices=tuple(b.value for b in Branch))
-    s.add_argument("--format", default=None, choices=("csv", "json"))
-    _add_common(s)
-    s.set_defaults(func=cmd_qpm_solve)
+    _command(top, "spectrum", cmd_spectrum,
+             "joint spectral amplitude and bin reduction", _CRYSTAL, _T_C,
+             _opt("--points", type=int, default=4097),
+             _opt("--lobes", type=float, default=6.0,
+                  help="sinc-lobe margin around each peak"))
 
-    s = qsub.add_parser("period", help="poling period for a target pair")
-    _add_crystal(s)
-    s.add_argument("--signal-nm", type=float, required=True)
-    s.add_argument("--idler-nm", type=float, required=True)
-    s.add_argument("--signal-pol", default="H", choices=("H", "V"))
-    _add_common(s)
-    s.set_defaults(func=cmd_qpm_period)
+    hsub = top.add_parser("hom", help="Hong-Ou-Mandel scans") \
+        .add_subparsers(dest="subcommand")
+    _command(hsub, "model", cmd_hom_model, "noiseless beat-model curve",
+             *_HOM)
+    _command(hsub, "synth", cmd_hom_synth, "Poisson-sampled synthetic scan",
+             *_HOM, _opt("--pairs", type=float, default=2000.0,
+                         help="expected pairs per point at baseline"),
+             _opt("--seed", type=int, default=0))
+    _command(hsub, "fit", cmd_hom_fit, "fit a scan CSV (tau_fs,counts,sigma)",
+             _opt("--scan", required=True, help="scan CSV path"),
+             _opt("--init", help='JSON dict of starting values, e.g. '
+                                 '\'{"delta_omega": 7e13}\''))
 
-    s = qsub.add_parser("tune", help="tuning curve over T or pump")
-    _add_crystal(s)
-    s.add_argument("--segment", type=int, default=0)
-    s.add_argument("--t-from-c", type=float, default=None)
-    s.add_argument("--t-to-c", type=float, default=None)
-    s.add_argument("--pump-from-nm", type=float, default=None)
-    s.add_argument("--pump-to-nm", type=float, default=None)
-    s.add_argument("--steps", type=int, default=41)
-    s.add_argument("--signal-pol", default="H", choices=("H", "V"))
-    s.add_argument("--branch", default=None,
-                   choices=tuple(b.value for b in Branch))
-    _add_common(s)
-    s.set_defaults(func=cmd_qpm_tune)
-
-    s = qsub.add_parser("crossing",
-                        help="temperature where both segments emit one pair")
-    _add_crystal(s, temperature=False)
-    s.add_argument("--t-lo-c", type=float, default=100.0)
-    s.add_argument("--t-hi-c", type=float, default=140.0)
-    _add_common(s)
-    s.set_defaults(func=cmd_qpm_crossing)
-
-    # spectrum
-    s = top.add_parser("spectrum",
-                       help="joint spectral amplitude and bin reduction")
-    _add_crystal(s)
-    s.add_argument("--points", type=int, default=4097)
-    s.add_argument("--lobes", type=float, default=6.0,
-                   help="sinc-lobe margin around each peak")
-    _add_common(s)
-    s.set_defaults(func=cmd_spectrum)
-
-    # hom
-    hom = top.add_parser("hom", help="Hong-Ou-Mandel scans")
-    hsub = hom.add_subparsers(dest="subcommand")
-
-    s = hsub.add_parser("model", help="noiseless beat-model curve")
-    _add_hom_params(s)
-    _add_common(s)
-    s.set_defaults(func=cmd_hom_model)
-
-    s = hsub.add_parser("synth", help="Poisson-sampled synthetic scan")
-    _add_hom_params(s)
-    s.add_argument("--pairs", type=float, default=2000.0,
-                   help="expected pairs per point at baseline")
-    s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
-    s.set_defaults(func=cmd_hom_synth)
-
-    s = hsub.add_parser("fit", help="fit a scan CSV (tau_fs,counts,sigma)")
-    s.add_argument("--scan", required=True, help="scan CSV path")
-    s.add_argument("--init", default=None,
-                   help='JSON dict of starting values, e.g. '
-                        '\'{"delta_omega": 7e13}\'')
-    _add_common(s)
-    s.set_defaults(func=cmd_hom_fit)
-
-    # tomo
-    tomo = top.add_parser("tomo", help="two-qubit states and tomography")
-    tsub = tomo.add_subparsers(dest="subcommand")
-
-    def _add_state(sp, with_tau=True):
-        sp.add_argument("--p", type=float, default=0.516,
-                        help="population of the H-in-high-bin process")
-        sp.add_argument("--v", type=float, default=0.934, help="coherence")
-        sp.add_argument("--phi", type=float, default=0.0,
-                        help="relative phase [rad]")
-        sp.add_argument("--rho", default=None,
-                        help="density-matrix JSON path (overrides --p/--v)")
-        if with_tau:
-            sp.add_argument("--tau-fs", type=float, default=None,
-                            help="mode-conversion delay [fs] (maps to "
-                                 "polarization basis)")
-            sp.add_argument("--dw-thz", type=float, default=11.5,
-                            help="bin splitting for conversion [THz]")
-
-    s = tsub.add_parser("simulate", help="projective Poisson counts")
-    _add_state(s)
-    s.add_argument("--projectors", default="james16")
-    s.add_argument("--expected-total", type=float, default=4000.0,
-                   help="flux scale: mean counts of one full-basis group "
-                        "(~expected_total/4 per setting)")
-    s.add_argument("--seed", type=int, default=None,
-                   help="Poisson seed (omit for noiseless means)")
-    _add_common(s)
-    s.set_defaults(func=cmd_tomo_simulate)
-
-    s = tsub.add_parser("reconstruct", help="MLE density matrix from counts")
-    s.add_argument("--data", required=True, help="counts CSV path")
-    s.add_argument("--projectors", default="james16")
-    _add_common(s)
-    s.set_defaults(func=cmd_tomo_reconstruct)
-
-    s = tsub.add_parser("metrics", help="fidelity/concurrence of a state")
-    _add_state(s)
-    s.add_argument("--target-phi", type=float, default=0.0,
-                   help="ideal-state phase [rad]")
-    _add_common(s)
-    s.set_defaults(func=cmd_tomo_metrics)
-
-    s = tsub.add_parser("convert",
-                        help="frequency->polarization phase transfer")
-    s.add_argument("--tau-fs", type=float, required=True)
-    s.add_argument("--dw-thz", type=float, default=11.5)
-    s.add_argument("--rho", default=None,
-                   help="optional frequency-basis matrix JSON to convert")
-    s.add_argument("--p", type=float, default=0.516)
-    s.add_argument("--v", type=float, default=0.934)
-    s.add_argument("--phi", type=float, default=0.0)
-    _add_common(s)
-    s.set_defaults(func=cmd_tomo_convert)
-
-    s = tsub.add_parser("table1",
-                        help="model-chain delay table (I/N, phi, F, C)")
-    s.add_argument("--p", type=float, default=0.516)
-    s.add_argument("--v", type=float, default=0.934)
-    s.add_argument("--dw-thz", type=float, default=11.5)
-    s.add_argument("--tauc-ps", type=float, default=2.40)
-    s.add_argument("--taus-fs", default="0,47,-20",
-                   help="comma-separated delays [fs]")
-    s.add_argument("--projectors", default="james16")
-    s.add_argument("--expected-total", type=float, default=4000.0)
-    s.add_argument("--seed", type=int, default=1)
-    _add_common(s)
-    s.set_defaults(func=cmd_tomo_table1)
-
+    tsub = top.add_parser("tomo", help="two-qubit states and tomography") \
+        .add_subparsers(dest="subcommand")
+    _command(tsub, "simulate", cmd_tomo_simulate, "projective Poisson counts",
+             *_STATE, _PROJECTORS, _EXPECTED_TOTAL,
+             _opt("--seed", type=int,
+                  help="Poisson seed (omit for noiseless means)"))
+    _command(tsub, "reconstruct", cmd_tomo_reconstruct,
+             "MLE density matrix from counts",
+             _opt("--data", required=True, help="counts CSV path"),
+             _PROJECTORS)
+    _command(tsub, "metrics", cmd_tomo_metrics,
+             "fidelity/concurrence of a state", *_STATE,
+             _opt("--target-phi", type=float, default=0.0,
+                  help="ideal-state phase [rad]"))
+    _command(tsub, "convert", cmd_tomo_convert,
+             "frequency->polarization phase transfer",
+             _opt("--tau-fs", type=float, required=True), _DW_THZ,
+             _opt("--rho",
+                  help="optional frequency-basis matrix JSON to convert"),
+             _P, _V, _PHI)
+    _command(tsub, "table1", cmd_tomo_table1,
+             "model-chain delay table (I/N, phi, F, C)", _P, _V, _DW_THZ,
+             _TAUC_PS, _opt("--taus-fs", default="0,47,-20",
+                            help="comma-separated delays [fs]"),
+             _PROJECTORS, _EXPECTED_TOTAL, _opt("--seed", type=int, default=1))
     return ap
 
 
@@ -719,15 +574,6 @@ def _apply_config(ap, args, argv):
     return ap.parse_args(argv)
 
 
-def _report(args, exc, kind):
-    if getattr(args, "error_json", False):
-        detail = {"error": type(exc).__name__, "kind": kind,
-                  "message": str(exc)}
-        print(json.dumps(detail, sort_keys=True), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -738,15 +584,16 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(ap, args, argv)
         return func(args)
-    except _NUMERICAL as exc:
-        _report(args, exc, "numerical")
-        return 1
-    except _USAGE as exc:
-        _report(args, exc, "usage")
-        return 2
-    except FreqbinError as exc:       # pragma: no cover - catch-all guard
-        _report(args, exc, "numerical")
-        return 1
+    except _NUMERICAL + _USAGE as exc:
+        kind, code = (("numerical", 1) if isinstance(exc, _NUMERICAL)
+                      else ("usage", 2))
+        if args.error_json:
+            print(json.dumps({"error": type(exc).__name__, "kind": kind,
+                              "message": str(exc)}, sort_keys=True),
+                  file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

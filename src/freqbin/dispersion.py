@@ -72,8 +72,9 @@ class SellmeierSet:
         Toy forms use n0/n1/n2: constant n = n0; linear n = n0 + n1*lam;
         quadratic n = n0 + n1*(lam-n2)^2 (lam in um throughout).
     temperature_form : str
-        ``"product_offset"`` for the f=(T-t0)(T+t1) dependence, ``"none"``
-        for temperature-free toys.
+        ``"product_offset"`` (the f=(T-t0)(T+t1) dependence) for
+        ``sellmeier_t``, ``"none"`` for the temperature-free toy forms; the
+        form fixes it, and any other value raises ValueError.
     valid_wavelength_um, valid_temperature_C : tuple of float
         Inclusive validity ranges.
     source : str
@@ -93,6 +94,11 @@ class SellmeierSet:
     def __post_init__(self):
         if self.form not in _FORM_CODES:
             raise ValueError(f"unknown index form '{self.form}'")
+        t_form = "product_offset" if self.form == "sellmeier_t" else "none"
+        if self.temperature_form != t_form:
+            raise ValueError(f"{self.name}: form '{self.form}' takes "
+                             f"temperature_form '{t_form}', not "
+                             f"'{self.temperature_form}'")
         pack = np.zeros(13)
         pack[0] = _FORM_CODES[self.form]
         if self.form == "sellmeier_t":

@@ -23,6 +23,8 @@ POL_BASIS = ("HH", "HV", "VH", "VV")
 _SY2 = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]),
                np.array([[0.0, -1.0], [1.0, 0.0]]))   # real form of sy x sy
 _OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_MLE_MAX_ITER = 500
+_MLE_LL_TOL = 1e-10     # log-likelihood gain below which the MLE stops
 
 
 class Domain(str, Enum):
@@ -270,14 +272,11 @@ class TomographyDataset:
     """Measured (or simulated) counts for a complete projection set.
 
     ``counts`` may be non-integer in the noiseless synthetic limit;
-    measured data are integers. ``total_normalization`` records how the
-    overall flux is treated downstream ("profiled": the likelihood scale is
-    maximized analytically at each step).
+    measured data are integers.
     """
 
     settings: tuple
     counts: np.ndarray
-    total_normalization: str = "profiled"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -383,7 +382,6 @@ class TomographyResult:
 
 
 def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
-                   max_iter: int = 500, ll_tol: float = 1e-10,
                    full_output: bool = False):
     """Cholesky-parametrized Poisson maximum-likelihood reconstruction.
 
@@ -394,7 +392,8 @@ def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
     (optimum 0 for exact data) so the convergence tolerance is resolvable
     in double precision. Iteration is Fisher-scored Gauss-Newton with a
     backtracking line search along the damped step; convergence when an
-    accepted step improves the log-likelihood by less than ``ll_tol``.
+    accepted step improves the log-likelihood by less than ``_MLE_LL_TOL``,
+    failure (FitConvergenceError) after ``_MLE_MAX_ITER`` steps.
     """
     counts = data.counts
     if float(counts.sum()) <= 0.0:
@@ -421,7 +420,7 @@ def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
     history = [ll]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MLE_MAX_ITER + 1):
         mu = mu_of(theta)
         jac = np.empty((len(mu), 16))
         for j in range(16):
@@ -457,7 +456,7 @@ def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
         if gain is None:
             converged = True       # no ascent direction left: stationary
             break
-        if gain < ll_tol:
+        if gain < _MLE_LL_TOL:
             converged = True
             break
 
@@ -466,7 +465,7 @@ def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
     rho = rho / np.real(np.trace(rho))
     if not converged:
         raise FitConvergenceError(
-            f"tomography did not converge in {max_iter} iterations",
+            f"tomography did not converge in {_MLE_MAX_ITER} iterations",
             last_iterate=rho, residual=-ll)
     dm = DensityMatrix(rho, tuple(basis))
     if full_output:

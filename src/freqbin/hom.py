@@ -20,6 +20,7 @@ from . import _kernels
 from .errors import FitConvergenceError
 
 _PARAM_NAMES = ("N", "V", "delta_omega", "tau_c", "tau_offset")
+_REL_STEP_TOL = 1e-8    # fit_homi's stop: largest step / parameter scale
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def _initial_guess(scan: HomScan) -> dict:
 
 
 def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
-             max_iter: int = 200, rel_step_tol: float = 1e-8) -> HomFit:
+             max_iter: int = 200) -> HomFit:
     """Weighted Levenberg-Marquardt fit of the five-parameter beat model.
 
     Initialization follows a fixed heuristic chain (baseline, DFT beat
@@ -254,7 +255,7 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
         if gained <= 1e-12 * max(cost, 1e-30):
             converged = True
             break
-        if np.max(np.abs(delta) / scale) < rel_step_tol:
+        if np.max(np.abs(delta) / scale) < _REL_STEP_TOL:
             converged = True
             break
 

@@ -29,6 +29,7 @@ from .errors import (BranchAmbiguityError, NoPhaseMatchError,
 
 TWO_PI = 2.0 * np.pi
 C_M_PER_S = 2.99792458e8  # speed of light in m/s
+_SCAN_POINTS = 241        # signal grid that brackets each pair-solve root
 
 
 class Branch(str, enum.Enum):
@@ -254,15 +255,16 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
 def solve_signal_idler(spec: CrystalSpec, segment_index: int,
                        signal_pol=Polarization.H,
                        branch: Branch | None = None,
-                       bracket=(1.2e-6, 1.9e-6), tol: float = 1e-3,
-                       scan_points: int = 241) -> PhaseMatchPoint:
+                       bracket=(1.2e-6, 1.9e-6),
+                       tol: float = 1e-3) -> PhaseMatchPoint:
     """Solve dk = 0 for the given segment's period.
 
-    The signal bracket is scanned for sign changes of the mismatch; each is
-    refined by ``_bracketed_root`` to a few ulps of the wavelength, and the
-    root must then satisfy |dk| < ``tol`` rad/m. With two roots in the
-    bracket, ``branch`` must pick a side of the degeneracy (2*lam_p); with
-    none, NoPhaseMatchError reports the scanned mismatch extremes.
+    The signal bracket is scanned on ``_SCAN_POINTS`` wavelengths for sign
+    changes of the mismatch; each is refined by ``_bracketed_root`` to a few
+    ulps of the wavelength, and the root must then satisfy |dk| < ``tol``
+    rad/m. With two roots in the bracket, ``branch`` must pick a side of
+    the degeneracy (2*lam_p); with none, NoPhaseMatchError reports the
+    scanned mismatch extremes.
     """
     segment = spec.segments[segment_index]
     period_um = segment.period * 1e6
@@ -280,7 +282,7 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
 
     # the refinement stays inside the grid, so one check covers it too
     _check_span(spec, sets, lo_um, hi_um)
-    lam_grid = np.linspace(lo_um, hi_um, int(scan_points))
+    lam_grid = np.linspace(lo_um, hi_um, _SCAN_POINTS)
     dk_grid = dk(lam_grid)
     sign = np.sign(dk_grid)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -368,8 +370,7 @@ class TuningPoint:
 def tuning_curve(spec: CrystalSpec, segment_index: int,
                  variable: str = "temperature", sweep=(100.0, 140.0),
                  steps: int = 41, signal_pol=Polarization.H,
-                 branch: Branch | None = None,
-                 bracket=(1.2e-6, 1.9e-6)) -> list:
+                 branch: Branch | None = None) -> list:
     """Sweep temperature or pump wavelength, solving each point independently.
 
     Points that fail to phase-match (or leave a coefficient set's validity
@@ -391,7 +392,7 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
             # gap too, not an exception
             mod = replace(spec, **{variable: float(v)})
             pt = solve_signal_idler(mod, segment_index, signal_pol=signal_pol,
-                                    branch=branch, bracket=bracket)
+                                    branch=branch)
         except (NoPhaseMatchError, WavelengthRangeError,
                 TemperatureRangeError):
             pt = None
@@ -400,13 +401,12 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
 
 
 def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
-                         segment_a: int = 0, segment_b: int = 1,
-                         signal_pol=Polarization.H, tol_c: float = 1e-9,
-                         bracket=(1.2e-6, 1.9e-6)) -> float:
-    """Temperature at which two segments emit the same pair, roles exchanged.
+                         tol_c: float = 1e-9) -> float:
+    """Temperature at which segments 0 and 1 emit the same pair, roles
+    exchanged.
 
-    At the crossing, segment a's signal and segment b's signal are conjugate
-    frequencies (nu_a + nu_b = nu_p), i.e. the two processes populate the
+    At the crossing, the H signals of segments 0 and 1 are conjugate
+    frequencies (nu_0 + nu_1 = nu_p), i.e. the two processes populate the
     same two bins with polarizations swapped. The gap is refined by
     ``_bracketed_root`` until its temperature bracket is no wider than
     ``tol_c`` degC.
@@ -416,13 +416,8 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
 
     def gap(t):
         mod = replace(spec, temperature=float(t))
-        pa = solve_signal_idler(mod, segment_a, signal_pol=signal_pol,
-                                bracket=bracket)
-        pb = solve_signal_idler(mod, segment_b, signal_pol=signal_pol,
-                                bracket=bracket)
-        nu_a = c_um / (pa.signal_wavelength * 1e6)
-        nu_b = c_um / (pb.signal_wavelength * 1e6)
-        return nu_a + nu_b - nu_p
+        return sum(c_um / (solve_signal_idler(mod, j).signal_wavelength * 1e6)
+                   for j in (0, 1)) - nu_p
 
     lo, hi = float(t_bracket[0]), float(t_bracket[1])
     glo, ghi = gap(lo), gap(hi)

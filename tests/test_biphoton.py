@@ -249,10 +249,10 @@ def test_delay_search_matches_direct_scan(default_spec, n_points):
         sa = joint_spectrum(spec, n_points=n_points)
         state = reduce_to_bins(sa, spec)
         p, vis, tau_star = _reference_reduction(sa, spec)
-        assert state.p == pytest.approx(p, rel=1e-14), spec.name
-        assert state.V == pytest.approx(vis, rel=1e-12), spec.name
-        assert state.compensation_delay == pytest.approx(tau_star,
-                                                         rel=1e-7), spec.name
+        assert state.p == pytest.approx(p, rel=1e-14, abs=0.0), spec.name
+        assert state.V == pytest.approx(vis, rel=1e-12, abs=0.0), spec.name
+        assert state.compensation_delay == pytest.approx(
+            tau_star, rel=1e-7, abs=0.0), spec.name
 
 
 @settings(max_examples=8)

@@ -4,12 +4,13 @@ Everything runs in-process through ``main(argv)`` with ``--out-dir`` pointed
 at pytest temp dirs, so these tests double as integration coverage of the
 whole pipeline (solver -> spectrum -> reduction -> fit -> tomography).
 """
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from freqbin.cli import main
+from freqbin.cli import _build_parser, main
 from freqbin.entanglement import rho_freq
 
 PAIR_120 = {0: (1504.3894, 1598.4627), 1: (1592.7616, 1509.4744)}
@@ -419,3 +420,150 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+
+
+# --- option declarations --------------------------------------------------
+
+# Each subcommand's options as declared before the subcommands shared their
+# declarations: dest -> (option strings, default, required, type, choices).
+COMMON_OPTIONS = {
+    "config": (("--config",), None, False, None, None),
+    "out_dir": (("--out-dir",), None, False, None, None),
+    "timestamp": (("--timestamp",), None, False, None, None),
+    "error_json": (("--error-json",), False, False, None, None),
+}
+OPTIONS = {
+    "qpm solve": {
+        "crystal": (("--crystal",), None, False, None, None),
+        "t_c": (("--t-c",), None, False, "float", None),
+        "segment": (("--segment",), None, False, "int", None),
+        "signal_pol": (("--signal-pol",), "H", False, None, ("H", "V")),
+        "branch": (("--branch",), None, False, None,
+            ("signal_short", "signal_long")),
+        "format": (("--format",), None, False, None, ("csv", "json")),
+    },
+    "qpm period": {
+        "crystal": (("--crystal",), None, False, None, None),
+        "t_c": (("--t-c",), None, False, "float", None),
+        "signal_nm": (("--signal-nm",), None, True, "float", None),
+        "idler_nm": (("--idler-nm",), None, True, "float", None),
+        "signal_pol": (("--signal-pol",), "H", False, None, ("H", "V")),
+    },
+    "qpm tune": {
+        "crystal": (("--crystal",), None, False, None, None),
+        "t_c": (("--t-c",), None, False, "float", None),
+        "segment": (("--segment",), 0, False, "int", None),
+        "t_from_c": (("--t-from-c",), None, False, "float", None),
+        "t_to_c": (("--t-to-c",), None, False, "float", None),
+        "pump_from_nm": (("--pump-from-nm",), None, False, "float", None),
+        "pump_to_nm": (("--pump-to-nm",), None, False, "float", None),
+        "steps": (("--steps",), 41, False, "int", None),
+        "signal_pol": (("--signal-pol",), "H", False, None, ("H", "V")),
+        "branch": (("--branch",), None, False, None,
+            ("signal_short", "signal_long")),
+    },
+    "qpm crossing": {
+        "crystal": (("--crystal",), None, False, None, None),
+        "t_lo_c": (("--t-lo-c",), 100.0, False, "float", None),
+        "t_hi_c": (("--t-hi-c",), 140.0, False, "float", None),
+    },
+    "spectrum": {
+        "crystal": (("--crystal",), None, False, None, None),
+        "t_c": (("--t-c",), None, False, "float", None),
+        "points": (("--points",), 4097, False, "int", None),
+        "lobes": (("--lobes",), 6.0, False, "float", None),
+    },
+    "hom model": {
+        "n": (("--n",), 1.0, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "tauc_ps": (("--tauc-ps",), 2.4, False, "float", None),
+        "tau0_fs": (("--tau0-fs",), 0.0, False, "float", None),
+        "range_ps": (("--range-ps",), 3.0, False, "float", None),
+        "points": (("--points",), 241, False, "int", None),
+    },
+    "hom synth": {
+        "n": (("--n",), 1.0, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "tauc_ps": (("--tauc-ps",), 2.4, False, "float", None),
+        "tau0_fs": (("--tau0-fs",), 0.0, False, "float", None),
+        "range_ps": (("--range-ps",), 3.0, False, "float", None),
+        "points": (("--points",), 241, False, "int", None),
+        "pairs": (("--pairs",), 2000.0, False, "float", None),
+        "seed": (("--seed",), 0, False, "int", None),
+    },
+    "hom fit": {
+        "scan": (("--scan",), None, True, None, None),
+        "init": (("--init",), None, False, None, None),
+    },
+    "tomo simulate": {
+        "p": (("--p",), 0.516, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "phi": (("--phi",), 0.0, False, "float", None),
+        "rho": (("--rho",), None, False, None, None),
+        "tau_fs": (("--tau-fs",), None, False, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "projectors": (("--projectors",), "james16", False, None, None),
+        "expected_total":
+            (("--expected-total",), 4000.0, False, "float", None),
+        "seed": (("--seed",), None, False, "int", None),
+    },
+    "tomo reconstruct": {
+        "data": (("--data",), None, True, None, None),
+        "projectors": (("--projectors",), "james16", False, None, None),
+    },
+    "tomo metrics": {
+        "p": (("--p",), 0.516, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "phi": (("--phi",), 0.0, False, "float", None),
+        "rho": (("--rho",), None, False, None, None),
+        "tau_fs": (("--tau-fs",), None, False, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "target_phi": (("--target-phi",), 0.0, False, "float", None),
+    },
+    "tomo convert": {
+        "tau_fs": (("--tau-fs",), None, True, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "rho": (("--rho",), None, False, None, None),
+        "p": (("--p",), 0.516, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "phi": (("--phi",), 0.0, False, "float", None),
+    },
+    "tomo table1": {
+        "p": (("--p",), 0.516, False, "float", None),
+        "v": (("--v",), 0.934, False, "float", None),
+        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "tauc_ps": (("--tauc-ps",), 2.4, False, "float", None),
+        "taus_fs": (("--taus-fs",), "0,47,-20", False, None, None),
+        "projectors": (("--projectors",), "james16", False, None, None),
+        "expected_total":
+            (("--expected-total",), 4000.0, False, "float", None),
+        "seed": (("--seed",), 1, False, "int", None),
+    },
+
+}
+
+
+def _subcommands(parser, path=()):
+    """Leaf subparsers of ``parser`` by their space-joined command path."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): parser}
+    out = {}
+    for name, sub in subs[0].choices.items():
+        out.update(_subcommands(sub, path + (name,)))
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options_unchanged(command):
+    parsers = _subcommands(_build_parser())
+    assert sorted(parsers) == sorted(OPTIONS)
+    got = {a.dest: (tuple(a.option_strings), a.default, a.required,
+                    getattr(a.type, "__name__", a.type),
+                    None if a.choices is None else tuple(a.choices))
+           for a in parsers[command]._actions
+           if not isinstance(a, argparse._HelpAction)}
+    assert got == {**OPTIONS[command], **COMMON_OPTIONS}

@@ -170,6 +170,19 @@ def test_unknown_method_and_unknown_form():
                      valid_wavelength_um=(1, 2), valid_temperature_C=(0, 1))
 
 
+@pytest.mark.parametrize("form, temperature_form", [
+    ("sellmeier_t", "none"), ("sellmeier_t", "linear"),
+    ("constant", "product_offset")])
+def test_temperature_form_must_match_the_index_form(form, temperature_form):
+    # the index forms fix their temperature dependence; a stored value
+    # that disagrees would be silently ignored
+    with pytest.raises(ValueError, match="temperature_form"):
+        SellmeierSet(name="x", axis=Axis.ORDINARY, form=form,
+                     coefficients={"n0": 2.0},
+                     temperature_form=temperature_form,
+                     valid_wavelength_um=(1, 2), valid_temperature_C=(0, 1))
+
+
 @pytest.mark.parametrize("loader, kind, name", [
     (load_sellmeier, "sellmeier", "cln_e_edwards1984"),
     (load_crystal, "crystals", "default"),
