@@ -126,13 +126,6 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
     return complex(out) if omega.ndim == 0 else out
 
 
-def design_phase(spec: CrystalSpec, first: int = 0, second: int = 1) -> float:
-    """Closed-form inter-process phase 2 pi (1/Lambda_a - 1/Lambda_b) L_b mod 2 pi."""
-    sa, sb = spec.segments[first], spec.segments[second]
-    phi = TWO_PI * (1.0 / sa.period - 1.0 / sb.period) * sb.length
-    return float(np.mod(phi, TWO_PI))
-
-
 def _group_index_mismatch(spec, point):
     """|n_g,i - n_g,s| of a solved pair: the daughters' group-velocity
     mismatch, which sets the sinc lobe width and the walk-off delay."""
@@ -286,58 +279,3 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
                          delta_omega=float(delta_omega), tau_c=float(tau_c),
                          bin_centers=(float(w1), float(w2)),
                          compensation_delay=float(tau_star), spectrum=sa)
-
-
-@dataclass(frozen=True)
-class NModeState:
-    """Ideal n-bin descriptor: sum_j amplitudes[j] |w_j>|w_(n-j+1)>.
-
-    centers strictly ascending [rad/s]; amplitudes default to 1/sqrt(n).
-    ``pairing`` lists the (j, n-1-j) index pairs of the anti-diagonal
-    correlation structure.
-    """
-
-    centers: tuple
-    amplitudes: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
-    @property
-    def pairing(self) -> tuple:
-        return tuple((j, self.n - 1 - j) for j in range(self.n))
-
-    def as_biphoton(self) -> BiphotonState:
-        """n = 2 view: the equivalent BiphotonState."""
-        if self.n != 2:
-            raise ValueError("as_biphoton is defined for n = 2 only")
-        a1, a2 = self.amplitudes
-        tot = abs(a1) ** 2 + abs(a2) ** 2
-        p = abs(a2) ** 2 / tot     # amplitude pairing (w2, w1) = bin-1-H term
-        vis = 2.0 * abs(a1 * a2) / tot
-        phi = float(np.mod(np.angle(a1) - np.angle(a2), TWO_PI))
-        dw = self.centers[1] - self.centers[0]
-        return BiphotonState(p=p, V=vis, phi=phi, delta_omega=float(dw),
-                             tau_c=np.inf, bin_centers=(self.centers[1],
-                                                        self.centers[0]))
-
-
-def n_mode_state(centers, amplitudes=None) -> NModeState:
-    """Equal-amplitude (by default) n-mode frequency-bin state descriptor."""
-    centers = tuple(float(c) for c in centers)
-    if len(centers) < 2:
-        raise ValueError("need at least two bin centers")
-    diffs = np.diff(centers)
-    if np.any(diffs <= 0.0):
-        raise ValueError("centers must be strictly ascending (no duplicates)")
-    n = len(centers)
-    if amplitudes is None:
-        amplitudes = tuple(1.0 / np.sqrt(n) for _ in range(n))
-    else:
-        amplitudes = tuple(complex(a) for a in amplitudes)
-        if len(amplitudes) != n:
-            raise ValueError("amplitudes length must match centers")
-        norm = np.sqrt(sum(abs(a) ** 2 for a in amplitudes))
-        amplitudes = tuple(a / norm for a in amplitudes)
-    return NModeState(centers=centers, amplitudes=amplitudes)

@@ -39,8 +39,7 @@ _NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
               BinReductionError, GridResolutionError, PhysicalityError)
 _USAGE = (FileNotFoundError, IsADirectoryError, KeyError, ValueError)
 # namespace entries left out of each output's recorded configuration
-_UNRECORDED = {"func", "parser", "error_json", "timestamp", "out_dir",
-               "config"}
+_UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
 
 
 def _fmt(x) -> str:
@@ -96,6 +95,10 @@ def _read_columns(path, names, what: str) -> list:
     for name in names:
         if name not in header:
             raise ValueError(f"{what} lacks required column '{name}'")
+    for k, r in enumerate(rows, 1):
+        if len(r) < len(header):
+            raise ValueError(f"{path}: data row {k} has {len(r)} cells, "
+                             f"the header {len(header)}")
     return [[r[header.index(name)] for r in rows] for name in names]
 
 
@@ -349,7 +352,8 @@ def cmd_tomo_reconstruct(args) -> int:
         "rho": result.rho.to_json_dict(),
         "diagnostics": {"log_likelihood": result.log_likelihood,
                         "n_iter": result.n_iter,
-                        "converged": result.converged}})
+                        "converged": result.converged,
+                        "certified_gap": result.certified_gap}})
     return 0
 
 
@@ -456,8 +460,8 @@ _HOM = (
 _P = _opt("--p", type=float, default=0.516,
           help="population of the H-in-high-bin process")
 _V = _opt("--v", type=float, default=0.934, help="coherence")
-_PHI = _opt("--phi", type=float, default=0.0, help="relative phase [rad]")
-_STATE = (_P, _V, _PHI,
+_STATE = (_P, _V,
+          _opt("--phi", type=float, default=0.0, help="relative phase [rad]"),
           _opt("--rho", help="density-matrix JSON path (overrides --p/--v)"),
           _opt("--tau-fs", type=float, help="mode-conversion delay [fs] "
                                             "(maps to polarization basis)"),
@@ -470,7 +474,7 @@ def _command(parent, name, func, help, *options):
     sp = parent.add_parser(name, help=help)
     for flags, kwargs in options + _COMMON:
         sp.add_argument(*flags, **kwargs)
-    sp.set_defaults(func=func, parser=sp)
+    sp.set_defaults(func=func)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -542,8 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "frequency->polarization phase transfer",
              _opt("--tau-fs", type=float, required=True), _DW_THZ,
              _opt("--rho",
-                  help="optional frequency-basis matrix JSON to convert"),
-             _P, _V, _PHI)
+                  help="optional frequency-basis matrix JSON to convert"))
     _command(tsub, "table1", cmd_tomo_table1,
              "model-chain delay table (I/N, phi, F, C)", _P, _V, _DW_THZ,
              _TAUC_PS, _opt("--taus-fs", default="0,47,-20",
@@ -552,42 +555,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap, args, argv):
-    """Re-parse ``argv`` with the ``--config`` file's values as the
-    subcommand's defaults, so flags given on the command line still win.
-    Keys that name none of the subcommand's options are a usage error."""
-    if not args.config:
-        return args
-    path = Path(args.config)
+def _with_config(ap, argv) -> list:
+    """``argv`` with the ``--config`` file's values inserted as option
+    tokens after the subcommand's name, so that argparse converts and
+    checks them and the command line's own flags, coming later, win.
+    ``true`` sets a flag, ``false`` leaves it unset and ``null`` leaves
+    any option unset. Keys that name none of the subcommand's options are
+    a usage error."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv                # the full parse reports it
+    if not config:
+        return argv
+    path = Path(config)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
     payload = json.loads(path.read_text())
     if not isinstance(payload, dict):
         raise ValueError("config file must hold a JSON object")
+    parser, k = ap, 0          # follow the command words to the subcommand
+    while k < len(argv) and argv[k] in _subparsers(parser):
+        parser = _subparsers(parser)[argv[k]]
+        k += 1
+    options = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     values = {key.replace("-", "_"): v for key, v in payload.items()}
-    options = {a.dest for a in args.parser._actions} - {"help", "config"}
-    unknown = sorted(set(values) - options)
+    unknown = sorted(set(values) - set(options))
     if unknown:
         raise ValueError(f"config file {path} sets unknown options "
                          f"{unknown}")
-    args.parser.set_defaults(**values)
-    return ap.parse_args(argv)
+    tokens = []
+    for dest, value in values.items():
+        action = options[dest]
+        if value is None or (value is False and action.nargs == 0):
+            continue
+        flag = action.option_strings[0]
+        tokens.append(flag if value is True else f"{flag}={value}")
+    return argv[:k] + tokens + argv[k:]
+
+
+def _subparsers(parser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
-    func = getattr(args, "func", None)
-    if func is None:
-        ap.print_help()
-        return 2
+    argv = list(sys.argv[1:] if argv is None else argv)
+    error_json = "--error-json" in argv
     try:
-        args = _apply_config(ap, args, argv)
-        return func(args)
+        args = ap.parse_args(_with_config(ap, argv))
+        if getattr(args, "func", None) is None:
+            ap.print_help()
+            return 2
+        error_json = args.error_json
+        return args.func(args)
     except _NUMERICAL + _USAGE as exc:
         kind, code = (("numerical", 1) if isinstance(exc, _NUMERICAL)
                       else ("usage", 2))
-        if args.error_json:
+        if error_json:
             print(json.dumps({"error": type(exc).__name__, "kind": kind,
                               "message": str(exc)}, sort_keys=True),
                   file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Spectral amplitudes, the two-bin reduction, and ideal n-bin states.
+"""Spectral amplitudes and the two-bin reduction.
 
 The dispersionless symmetric toy (conftest) is the exact oracle: both
 processes peak at mirror frequencies, so the reduction must return p = 1/2,
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freqbin.biphoton import (BiphotonState, _group_index_mismatch,
-                              design_phase, joint_spectrum, n_mode_state,
-                              reduce_to_bins, segment_amplitude)
+                              joint_spectrum, reduce_to_bins,
+                              segment_amplitude)
 from freqbin.errors import (BinReductionError, GridResolutionError,
                             PhysicalityError)
 from freqbin.qpm import PolingSegment, TWO_PI
@@ -56,18 +56,6 @@ def test_segment_amplitude_scalar_vs_vector(const_crystal):
     assert isinstance(scalar, complex)
     assert vec.shape == (2,)
     assert vec[0] == pytest.approx(scalar, rel=1e-12)
-
-
-# --- design phase -----------------------------------------------------------
-
-def test_design_phase_closed_form(default_spec):
-    s1, s2 = default_spec.segments
-    expected = np.mod(TWO_PI * (1 / s1.period - 1 / s2.period) * s2.length,
-                      TWO_PI)
-    assert design_phase(default_spec) == pytest.approx(expected, abs=1e-12)
-    assert design_phase(default_spec) == pytest.approx(5.648610, abs=1e-5)
-    rev = design_phase(default_spec, first=1, second=0)
-    assert 0.0 <= rev < TWO_PI
 
 
 # --- joint spectrum ---------------------------------------------------------
@@ -123,7 +111,9 @@ def test_symmetric_toy_is_maximally_entangled(symmetric_toy):
     st = reduce_to_bins(sa, symmetric_toy)
     assert st.p == pytest.approx(0.5, abs=1e-9)
     assert st.V >= 0.999999
-    d = design_phase(symmetric_toy)
+    # closed-form design phase 2 pi (1/Lambda_1 - 1/Lambda_2) L_2 (mod 2 pi)
+    s1, s2 = symmetric_toy.segments
+    d = np.mod(TWO_PI * (1 / s1.period - 1 / s2.period) * s2.length, TWO_PI)
     wrap = min(abs(st.phi - d), TWO_PI - abs(st.phi - d))
     assert wrap < 1e-9
     # dispersionless bins sit exactly at the two design wavelengths
@@ -331,47 +321,3 @@ def test_biphoton_state_physicality():
     with pytest.raises(PhysicalityError):
         BiphotonState(p=0.5, V=0.9, phi=0.0, delta_omega=1e12, tau_c=0.0,
                       bin_centers=(2.0, 1.0))
-
-
-# --- n-mode descriptor ------------------------------------------------------
-
-def test_two_mode_default_is_bell_like():
-    w2, w1 = _omega(1.6e-6), _omega(1.5e-6)
-    st = n_mode_state([w2, w1]).as_biphoton()
-    assert st.p == pytest.approx(0.5, abs=1e-12)
-    assert st.V == pytest.approx(1.0, abs=1e-12)
-    assert st.phi == 0.0
-    assert st.delta_omega == pytest.approx(w1 - w2, rel=1e-12)
-    assert st.bin_centers == (w1, w2)
-
-
-def test_two_mode_amplitude_phase():
-    st = n_mode_state([1.0, 2.0], amplitudes=[1.0, 1.0j]).as_biphoton()
-    assert st.p == pytest.approx(0.5, abs=1e-12)
-    assert st.V == pytest.approx(1.0, abs=1e-12)
-    assert st.phi == pytest.approx(1.5 * np.pi, abs=1e-12)
-
-
-def test_three_mode_structure():
-    st = n_mode_state([1.0, 2.0, 3.5])
-    assert st.n == 3
-    assert st.pairing == ((0, 2), (1, 1), (2, 0))
-    for a in st.amplitudes:
-        assert abs(a) == pytest.approx(1 / np.sqrt(3), rel=1e-12)
-    with pytest.raises(ValueError):
-        st.as_biphoton()
-
-
-def test_n_mode_normalization_and_validation():
-    st = n_mode_state([1.0, 2.0, 3.0], amplitudes=[1.0, 1.0, 2.0])
-    assert sum(abs(a) ** 2 for a in st.amplitudes) == pytest.approx(1.0,
-                                                                    rel=1e-12)
-    assert abs(st.amplitudes[2]) ** 2 == pytest.approx(4.0 / 6.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        n_mode_state([1.0])
-    with pytest.raises(ValueError):
-        n_mode_state([2.0, 1.0])
-    with pytest.raises(ValueError):
-        n_mode_state([1.0, 1.0])
-    with pytest.raises(ValueError):
-        n_mode_state([1.0, 2.0], amplitudes=[1.0])

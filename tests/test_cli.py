@@ -248,6 +248,17 @@ def test_hom_fit_missing_scan_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "hom_fit.json").exists()
 
 
+def test_short_csv_row_is_usage_error(tmp_path, capsys):
+    scan = tmp_path / "short.csv"
+    scan.write_text("tau_fs,counts,sigma\n1,2,3\n2,3\n")
+    rc = main(["hom", "fit", "--scan", str(scan), "--error-json",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "ValueError"
+    assert str(scan) in err["message"] and "row 2" in err["message"]
+
+
 # --- tomo -----------------------------------------------------------------
 
 def test_tomo_metrics_working_point(tmp_path, capsys):
@@ -396,6 +407,35 @@ def test_config_values_apply_and_unknown_keys_fail(tmp_path, capsys):
     assert not (tmp_path / "c" / "hom_model.csv").exists()
 
 
+@pytest.mark.parametrize("payload", [{"format": "xml"},
+                                     {"signal_pol": "X"}])
+def test_config_values_pass_argparse_checks(tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["qpm", "solve", "--config", str(cfg), "--out-dir",
+              str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("qpm_solve.*"))
+
+
+def test_config_supplies_required_options_and_flags(tmp_path, capsys):
+    assert main(["hom", "synth", "--out-dir", str(tmp_path)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan": str(tmp_path / "hom_synth.csv"),
+                               "init": None}))
+    assert main(["hom", "fit", "--config", str(cfg), "--out-dir",
+                 str(tmp_path)]) == 0
+    assert (tmp_path / "hom_fit.json").exists()
+    # true sets a flag; a flag given on the command line needs no value
+    cfg.write_text(json.dumps({"scan": str(tmp_path / "nope.csv"),
+                               "error_json": True}))
+    capsys.readouterr()
+    assert main(["hom", "fit", "--config", str(cfg), "--out-dir",
+                 str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+
+
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FREQBIN_OUT_DIR", str(tmp_path / "envdir"))
     assert main(["hom", "model"]) == 0
@@ -425,7 +465,8 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
 # --- option declarations --------------------------------------------------
 
 # Each subcommand's options as declared before the subcommands shared their
-# declarations: dest -> (option strings, default, required, type, choices).
+# declarations, less tomo convert's --p/--v/--phi, which it never read:
+# dest -> (option strings, default, required, type, choices).
 COMMON_OPTIONS = {
     "config": (("--config",), None, False, None, None),
     "out_dir": (("--out-dir",), None, False, None, None),
@@ -526,9 +567,6 @@ OPTIONS = {
         "tau_fs": (("--tau-fs",), None, True, "float", None),
         "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
         "rho": (("--rho",), None, False, None, None),
-        "p": (("--p",), 0.516, False, "float", None),
-        "v": (("--v",), 0.934, False, "float", None),
-        "phi": (("--phi",), 0.0, False, "float", None),
     },
     "tomo table1": {
         "p": (("--p",), 0.516, False, "float", None),
