@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .biphoton import BiphotonState, joint_spectrum, reduce_to_bins
-from .dispersion import Polarization
+from .dispersion import Polarization, _parse_json
 from .entanglement import (Domain, DensityMatrix, concurrence, fidelity,
                            ideal_state, load_projectors, mle_tomography,
                            mode_convert, rho_freq, simulate_counts,
@@ -37,7 +37,7 @@ from .qpm import (C_M_PER_S, TWO_PI, Branch, CrystalSpec, PhaseMatchPoint,
 # PhysicalityError is also a ValueError, so this tuple is tested first
 _NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
               BinReductionError, GridResolutionError, PhysicalityError)
-_USAGE = (FileNotFoundError, IsADirectoryError, KeyError, ValueError)
+_USAGE = (FileNotFoundError, IsADirectoryError, ValueError)
 # namespace entries left out of each output's recorded configuration
 _UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
 
@@ -308,7 +308,7 @@ def _rho_from_args(args) -> DensityMatrix:
         path = Path(args.rho)
         if not path.exists():
             raise FileNotFoundError(f"no such file: {path}")
-        payload = json.loads(path.read_text())
+        payload = _parse_json(path.read_text(), path)
         return DensityMatrix.from_json_dict(payload.get("rho", payload))
     rho = rho_freq(float(args.p), float(args.v), float(args.phi))
     if args.tau_fs is not None:

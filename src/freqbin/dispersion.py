@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .errors import TemperatureRangeError, WavelengthRangeError
 
 
@@ -41,16 +40,14 @@ class Polarization(str, enum.Enum):
         return Polarization.V if self is Polarization.H else Polarization.H
 
 
-_FORM_CODES = {
-    "constant": _kernels.FORM_CONSTANT,
-    "linear": _kernels.FORM_LINEAR,
-    "quadratic": _kernels.FORM_QUADRATIC,
-    "sellmeier_t": _kernels.FORM_SELLMEIER_T,
+# the coefficient names each index form reads (lam in um, T in deg C)
+_COEFFICIENT_NAMES = {
+    "constant": ("n0",),
+    "linear": ("n0", "n1"),
+    "quadratic": ("n0", "n1", "n2"),
+    "sellmeier_t": ("a1", "a2", "a3", "a4", "a5", "a6",
+                    "b1", "b2", "b3", "b4", "t0", "t1"),
 }
-
-# coefficient-name -> pack slot (see _kernels pack layout)
-_PACK_SLOTS = {"a1": 1, "a2": 2, "a3": 3, "a4": 4, "a5": 5, "a6": 6,
-               "b1": 7, "b2": 8, "b3": 9, "b4": 10, "t0": 11, "t1": 12}
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,11 @@ class SellmeierSet:
         Named reals. For ``sellmeier_t``: a1..a6, b1..b4, t0, t1 giving
         n^2 = a1 + b1 f + (a2+b2 f)/(lam^2-(a3+b3 f)^2)
                  + (a4+b4 f)/(lam^2-a5^2) - a6 lam^2,  f=(T-t0)(T+t1).
-        Toy forms use n0/n1/n2: constant n = n0; linear n = n0 + n1*lam;
-        quadratic n = n0 + n1*(lam-n2)^2 (lam in um throughout).
+        Toy forms: constant n = n0; linear n = n0 + n1*lam; quadratic
+        n = n0 + n1*(lam-n2)^2 (lam in um throughout). A name the form
+        does not read raises ValueError; a name it reads but the dict
+        omits is 0. The stored dict holds exactly the form's names, as
+        floats.
     temperature_form : str
         ``"product_offset"`` (the f=(T-t0)(T+t1) dependence) for
         ``sellmeier_t``, ``"none"`` for the temperature-free toy forms; the
@@ -89,26 +89,63 @@ class SellmeierSet:
     valid_wavelength_um: tuple
     valid_temperature_C: tuple
     source: str = ""
-    _pack: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.form not in _FORM_CODES:
+        if self.form not in _COEFFICIENT_NAMES:
             raise ValueError(f"unknown index form '{self.form}'")
         t_form = "product_offset" if self.form == "sellmeier_t" else "none"
         if self.temperature_form != t_form:
             raise ValueError(f"{self.name}: form '{self.form}' takes "
                              f"temperature_form '{t_form}', not "
                              f"'{self.temperature_form}'")
-        pack = np.zeros(13)
-        pack[0] = _FORM_CODES[self.form]
-        if self.form == "sellmeier_t":
-            for key, slot in _PACK_SLOTS.items():
-                pack[slot] = float(self.coefficients.get(key, 0.0))
-        else:
-            # toy forms: n0,n1,n2 occupy the a1,a2,a3 slots
-            for i, key in enumerate(("n0", "n1", "n2")):
-                pack[1 + i] = float(self.coefficients.get(key, 0.0))
-        object.__setattr__(self, "_pack", pack)
+        names = _COEFFICIENT_NAMES[self.form]
+        unknown = sorted(set(self.coefficients) - set(names))
+        if unknown:
+            raise ValueError(f"{self.name}: form '{self.form}' reads no "
+                             f"coefficient {unknown}; it reads "
+                             f"{list(names)}")
+        object.__setattr__(self, "coefficients", {
+            key: float(self.coefficients.get(key, 0.0)) for key in names})
+
+    def index(self, lam_um, t_c):
+        """n(lam, T) for a scalar or array ``lam_um`` [um] at ``t_c``
+        [deg C]; array and elementwise scalar calls agree bit for bit.
+        No range check: see ``check_range``."""
+        c = self.coefficients
+        if self.form == "constant":
+            return np.full(np.shape(lam_um), c["n0"])[()]
+        if self.form == "linear":
+            return c["n0"] + c["n1"] * lam_um
+        if self.form == "quadratic":
+            d = lam_um - c["n2"]
+            return c["n0"] + c["n1"] * d * d
+        f = (t_c - c["t0"]) * (t_c + c["t1"])
+        lam2 = lam_um * lam_um
+        pole1 = c["a3"] + c["b3"] * f
+        n2 = (c["a1"] + c["b1"] * f
+              + (c["a2"] + c["b2"] * f) / (lam2 - pole1 * pole1)
+              + (c["a4"] + c["b4"] * f) / (lam2 - c["a5"] * c["a5"])
+              - c["a6"] * lam2)
+        return np.sqrt(n2)
+
+    def dn_dlam(self, lam_um, t_c):
+        """Analytic dn/dlam [1/um], for the arguments ``index`` takes."""
+        c = self.coefficients
+        if self.form == "constant":
+            return np.zeros(np.shape(lam_um))[()]
+        if self.form == "linear":
+            return np.full(np.shape(lam_um), c["n1"])[()]
+        if self.form == "quadratic":
+            return 2.0 * c["n1"] * (lam_um - c["n2"])
+        f = (t_c - c["t0"]) * (t_c + c["t1"])
+        lam2 = lam_um * lam_um
+        pole1 = c["a3"] + c["b3"] * f
+        den1 = lam2 - pole1 * pole1
+        den2 = lam2 - c["a5"] * c["a5"]
+        dn2 = (-2.0 * lam_um * (c["a2"] + c["b2"] * f) / (den1 * den1)
+               - 2.0 * lam_um * (c["a4"] + c["b4"] * f) / (den2 * den2)
+               - 2.0 * c["a6"] * lam_um)
+        return dn2 / (2.0 * self.index(lam_um, t_c))
 
     def check_range(self, wavelength_um: float, temperature_C: float) -> None:
         lo, hi = self.valid_wavelength_um
@@ -142,17 +179,36 @@ class OpticalField:
         return self.wavelength * 1e6
 
 
+class _JsonObject(dict):
+    """A parsed JSON object whose missing key raises ValueError naming the
+    file and the key, so a malformed input is a usage error (CLI exit 2)
+    and a bare KeyError stays a programming error."""
+
+    def __init__(self, pairs, where):
+        super().__init__(pairs)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.where}: missing key '{key}'")
+
+
+def _parse_json(text: str, where) -> dict:
+    """Parsed JSON ``text`` read from ``where``, objects as _JsonObject."""
+    return json.loads(text, object_pairs_hook=lambda pairs: _JsonObject(
+        pairs, where))
+
+
 def _read_json(kind: str, source) -> dict:
     """Parsed JSON of ``source``: an existing file path, else the bundled
     ``data/<kind>/<source>.json``; FileNotFoundError naming both otherwise."""
     path = Path(source)
-    if path.is_file():
-        return json.loads(path.read_text(encoding="utf-8"))
-    ref = resources.files("freqbin").joinpath(f"data/{kind}/{source}.json")
-    if ref.is_file():
-        return json.loads(ref.read_text(encoding="utf-8"))
-    raise FileNotFoundError(f"no file '{source}' and no bundled "
-                            f"data/{kind}/{source}.json")
+    if not path.is_file():
+        path = resources.files("freqbin").joinpath(
+            f"data/{kind}/{source}.json")
+        if not path.is_file():
+            raise FileNotFoundError(f"no file '{source}' and no bundled "
+                                    f"data/{kind}/{source}.json")
+    return _parse_json(path.read_text(encoding="utf-8"), path)
 
 
 def load_sellmeier(source) -> SellmeierSet:
@@ -182,7 +238,7 @@ def refractive_index(fld: OpticalField, sset: SellmeierSet) -> float:
     """
     lam_um = fld.wavelength_um
     sset.check_range(lam_um, fld.temperature)
-    return float(_kernels.index_n(lam_um, fld.temperature, sset._pack))
+    return float(sset.index(lam_um, fld.temperature))
 
 
 def wavenumber(fld: OpticalField, sset: SellmeierSet) -> float:
@@ -198,6 +254,6 @@ def group_index(fld: OpticalField, sset: SellmeierSet,
         raise ValueError(f"unknown method '{method}'")
     lam_um = fld.wavelength_um
     sset.check_range(lam_um, fld.temperature)
-    dn = _kernels.index_dn_dlam(lam_um, fld.temperature, sset._pack)
-    n = _kernels.index_n(lam_um, fld.temperature, sset._pack)
+    dn = sset.dn_dlam(lam_um, fld.temperature)
+    n = sset.index(lam_um, fld.temperature)
     return float(n - lam_um * dn)

@@ -236,13 +236,15 @@ def load_projectors(name_or_path: str = "james16") -> tuple:
     is raised.
     """
     payload = _read_json("tomography", name_or_path)
-    kets = {}
-    for label, pairs in payload["states"].items():
-        arr = np.array([complex(re, im) for re, im in pairs])
-        kets[label] = arr / np.linalg.norm(arr)
+    states = payload["states"]   # a label it lacks is a ValueError
+
+    def ket(label):
+        arr = np.array([complex(re, im) for re, im in states[label]])
+        return arr / np.linalg.norm(arr)
+
     settings = tuple(
         ProjectorSetting(setting_id=f"{k + 1:02d}", proj_a=a, proj_b=b,
-                         ket_a=kets[a], ket_b=kets[b])
+                         ket_a=ket(a), ket_b=ket(b))
         for k, (a, b) in enumerate(payload["settings"]))
     rank = _completeness_rank(settings)
     if rank < 16:

@@ -6,9 +6,10 @@ splitting under a triangular envelope:
     I(tau) = (N/2) * {1 - V cos(delta_omega * u) (1 - |u|/tau_c)},  |u| <= tau_c
            =  N/2                                                  otherwise,
 
-with u = tau - tau_offset. The fitter is a damped Gauss-Newton
-(Levenberg-Marquardt) weighted least-squares over all five parameters with
-an analytic Jacobian; weights are Poisson, sigma = sqrt(max(count, 1)).
+with u = tau - tau_offset. ``homi_curve`` and ``homi_jac`` evaluate it and
+its analytic Jacobian, looping over the delays. The fitter is a damped
+Gauss-Newton (Levenberg-Marquardt) weighted least-squares over all five
+parameters; weights are Poisson, sigma = sqrt(max(count, 1)).
 """
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import FitConvergenceError
 
 _PARAM_NAMES = ("N", "V", "delta_omega", "tau_c", "tau_offset")
 _REL_STEP_TOL = 1e-8    # fit_homi's stop: largest step / parameter scale
+_MAX_ITER = 200         # fit_homi's Levenberg-Marquardt iteration limit
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,56 @@ class HomFit:
                          self.tau_offset)
 
 
+def homi_curve(tau, n_rate, vis, dw, tau_c, tau0):
+    """Coincidence rate vs delay: beat under a triangular envelope.
+
+    I(tau) = (N/2) * (1 - V*cos(dw*u)*(1 - |u|/tau_c)) for |u| <= tau_c,
+    N/2 outside, with u = tau - tau0.
+    """
+    out = np.empty(tau.shape[0])
+    for i in range(tau.shape[0]):
+        u = tau[i] - tau0
+        au = abs(u)
+        if au <= tau_c:
+            env = 1.0 - au / tau_c
+            out[i] = 0.5 * n_rate * (1.0 - vis * np.cos(dw * u) * env)
+        else:
+            out[i] = 0.5 * n_rate
+    return out
+
+
+def homi_jac(tau, n_rate, vis, dw, tau_c, tau0):
+    """d I / d (N, V, dw, tau_c, tau0); (npts, 5). Kinks use inner-branch slopes."""
+    m = tau.shape[0]
+    jac = np.zeros((m, 5))
+    for i in range(m):
+        u = tau[i] - tau0
+        au = abs(u)
+        if au <= tau_c:
+            c = np.cos(dw * u)
+            s = np.sin(dw * u)
+            env = 1.0 - au / tau_c
+            sgn = 0.0
+            if u > 0.0:
+                sgn = 1.0
+            elif u < 0.0:
+                sgn = -1.0
+            jac[i, 0] = 0.5 * (1.0 - vis * c * env)
+            jac[i, 1] = -0.5 * n_rate * c * env
+            jac[i, 2] = 0.5 * n_rate * vis * u * s * env
+            jac[i, 3] = -0.5 * n_rate * vis * c * au / (tau_c * tau_c)
+            jac[i, 4] = -0.5 * n_rate * vis * (dw * s * env
+                                               + c * sgn / tau_c)
+        else:
+            jac[i, 0] = 0.5
+    return jac
+
+
 def homi_rate(params: HomParams, tau):
     """Coincidence rate at delay(s) tau [s]."""
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = _kernels.homi_curve(t, params.N, params.V, params.delta_omega,
-                              params.tau_c, params.tau_offset)
+    out = homi_curve(t, params.N, params.V, params.delta_omega,
+                     params.tau_c, params.tau_offset)
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
@@ -176,16 +222,16 @@ def _initial_guess(scan: HomScan) -> dict:
             "tau_c": tau_c0, "tau_offset": tau00}
 
 
-def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
-             max_iter: int = 200) -> HomFit:
+def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
     """Weighted Levenberg-Marquardt fit of the five-parameter beat model.
 
     Initialization follows a fixed heuristic chain (baseline, DFT beat
     frequency, minimum-count offset, linear envelope fit) unless ``init``
     supplies starting values; partial dicts override individual entries.
     Raises FitConvergenceError (carrying the last iterate) if the loop
-    exhausts ``max_iter`` without the relative step dropping below tolerance,
-    or up front if the scan has no more points than the five parameters.
+    runs ``_MAX_ITER`` iterations without the relative step dropping below
+    tolerance, or up front if the scan has no more points than the five
+    parameters.
     """
     if len(scan.delays) <= len(_PARAM_NAMES):
         raise FitConvergenceError(
@@ -208,10 +254,10 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
     w = 1.0 / np.maximum(scan.uncertainties, 1e-12)
 
     def model(th):
-        return _kernels.homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4])
+        return homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4])
 
     def jac(th):
-        return _kernels.homi_jac(d, th[0], th[1], th[2], abs(th[3]), th[4])
+        return homi_jac(d, th[0], th[1], th[2], abs(th[3]), th[4])
 
     def chi2(th):
         r = (model(th) - c) * w
@@ -222,7 +268,7 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
     scale = np.maximum(np.abs(theta), [1.0, 0.1, 1e11, 1e-13, 1e-14])
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         j = jac(theta) * w[:, None]
         r = (model(theta) - c) * w
         g = j.T @ r
@@ -262,7 +308,7 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None,
     theta[3] = abs(theta[3])
     if not converged:
         raise FitConvergenceError(
-            f"no convergence in {max_iter} iterations "
+            f"no convergence in {_MAX_ITER} iterations "
             f"(last rel step {np.max(np.abs(delta)/scale):.3g})",
             last_iterate=dict(zip(_PARAM_NAMES, theta)),
             residual=np.sqrt(cost))

@@ -7,10 +7,12 @@ an inconsistent triple. The QPM condition solved is
 
     dk = k_p - k_s - k_i - 2*pi/Lambda = 0.
 
-Roots are located by a sign-change scan and refined inside their bracket by
-Illinois regula falsi (``_bracketed_root``): derivative-free like bisection
-and as safe, since the bracket always holds a sign change, but superlinear,
-so a pair solve or a crossing search needs a handful of evaluations.
+Each k = 2*pi*n/lam comes from the axis' ``SellmeierSet``, which evaluates
+n for a whole signal grid in one call (``_mismatch``). Roots are located
+by a sign-change scan and refined inside their bracket by Illinois regula
+falsi (``_bracketed_root``): derivative-free like bisection and as safe,
+since the bracket always holds a sign change, but superlinear, so a pair
+solve or a crossing search needs a handful of evaluations.
 ``biphoton.reduce_to_bins`` refines its compensation delay with the same
 solver, on the overlap's slope. Everything is pure over immutable specs.
 """
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .dispersion import (Axis, OpticalField, Polarization, SellmeierSet,
                          _read_json, load_sellmeier, wavenumber)
 from .errors import (BranchAmbiguityError, NoPhaseMatchError,
@@ -30,6 +31,8 @@ from .errors import (BranchAmbiguityError, NoPhaseMatchError,
 TWO_PI = 2.0 * np.pi
 C_M_PER_S = 2.99792458e8  # speed of light in m/s
 _SCAN_POINTS = 241        # signal grid that brackets each pair-solve root
+_PAIR_TOL = 1e-3          # largest |dk| in rad/m a solved pair may keep
+_CROSSING_TOL_C = 1e-9    # width in degC of the crossing's final bracket
 
 
 class Branch(str, enum.Enum):
@@ -218,9 +221,9 @@ def _mismatch(spec: CrystalSpec, sets, lam_s_um, period_um=np.inf):
     t = spec.temperature
     lam_p = spec.pump_wavelength * 1e6
     lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s_um)
-    kp = TWO_PI * _kernels.index_n(lam_p, t, p_set._pack) / lam_p
-    ks = TWO_PI * _kernels.index_n(lam_s_um, t, s_set._pack) / lam_s_um
-    ki = TWO_PI * _kernels.index_n(lam_i, t, i_set._pack) / lam_i
+    kp = TWO_PI * p_set.index(lam_p, t) / lam_p
+    ks = TWO_PI * s_set.index(lam_s_um, t) / lam_s_um
+    ki = TWO_PI * i_set.index(lam_i, t) / lam_i
     return kp - ks - ki - TWO_PI / period_um, ks + ki
 
 
@@ -255,16 +258,15 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
 def solve_signal_idler(spec: CrystalSpec, segment_index: int,
                        signal_pol=Polarization.H,
                        branch: Branch | None = None,
-                       bracket=(1.2e-6, 1.9e-6),
-                       tol: float = 1e-3) -> PhaseMatchPoint:
+                       bracket=(1.2e-6, 1.9e-6)) -> PhaseMatchPoint:
     """Solve dk = 0 for the given segment's period.
 
     The signal bracket is scanned on ``_SCAN_POINTS`` wavelengths for sign
     changes of the mismatch; each is refined by ``_bracketed_root`` to a few
-    ulps of the wavelength, and the root must then satisfy |dk| < ``tol``
-    rad/m. With two roots in the bracket, ``branch`` must pick a side of
-    the degeneracy (2*lam_p); with none, NoPhaseMatchError reports the
-    scanned mismatch extremes.
+    ulps of the wavelength, and the root must then satisfy |dk| <=
+    ``_PAIR_TOL`` rad/m. With two roots in the bracket, ``branch`` must
+    pick a side of the degeneracy (2*lam_p); with none, NoPhaseMatchError
+    reports the scanned mismatch extremes.
     """
     segment = spec.segments[segment_index]
     period_um = segment.period * 1e6
@@ -327,10 +329,10 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
         lam_root, dk_root = roots[0]
 
     residual = dk_root * 1e6  # rad/um -> rad/m
-    if abs(residual) > tol:
+    if abs(residual) > _PAIR_TOL:
         raise NoPhaseMatchError(
             f"root refinement stalled at |dk| = {abs(residual):.3g} rad/m "
-            f"(> tol {tol:g}); mismatch may be discontinuous")
+            f"(> tol {_PAIR_TOL:g}); mismatch may be discontinuous")
     lam_i_um = 1.0 / (1.0 / lam_p_um - 1.0 / lam_root)
     return PhaseMatchPoint(
         pump_wavelength=spec.pump_wavelength,
@@ -400,8 +402,8 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
     return out
 
 
-def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
-                         tol_c: float = 1e-9) -> float:
+def crossing_temperature(spec: CrystalSpec,
+                         t_bracket=(100.0, 140.0)) -> float:
     """Temperature at which segments 0 and 1 emit the same pair, roles
     exchanged.
 
@@ -409,7 +411,7 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
     frequencies (nu_0 + nu_1 = nu_p), i.e. the two processes populate the
     same two bins with polarizations swapped. The gap is refined by
     ``_bracketed_root`` until its temperature bracket is no wider than
-    ``tol_c`` degC.
+    ``_CROSSING_TOL_C`` degC.
     """
     c_um = C_M_PER_S * 1e6
     nu_p = c_um / (spec.pump_wavelength * 1e6)
@@ -426,4 +428,5 @@ def crossing_temperature(spec: CrystalSpec, t_bracket=(100.0, 140.0),
             f"no tuning-curve crossing in [{lo:g}, {hi:g}] C "
             f"(pair mismatch spans [{glo:.4g}, {ghi:.4g}] THz-equivalent)",
             dk_min=glo, dk_max=ghi)
-    return float(_bracketed_root(gap, lo, hi, glo, ghi, xtol=tol_c)[0])
+    return float(_bracketed_root(gap, lo, hi, glo, ghi,
+                                 xtol=_CROSSING_TOL_C)[0])

@@ -6,6 +6,7 @@ whole pipeline (solver -> spectrum -> reduction -> fit -> tomography).
 """
 import argparse
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -460,6 +461,79 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+
+
+def bundled(kind, name):
+    return json.loads(resources.files("freqbin").joinpath(
+        f"data/{kind}/{name}.json").read_text(encoding="utf-8"))
+
+
+def broken_input(tmp_path, case):
+    """(argv, file, name): a run whose input ``file`` has one defect, and
+    the key or label that its error message must name."""
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return path
+
+    def solve(drop=None, sellmeier=None):
+        crystal = bundled("crystals", "default")
+        crystal.pop(drop, None)
+        if sellmeier:
+            crystal["sellmeier_files"]["extraordinary"] = str(
+                write("sellmeier.json", sellmeier))
+        return ["qpm", "solve", "--crystal",
+                str(write("crystal.json", crystal))]
+
+    sellmeier = bundled("sellmeier", "cln_e_edwards1984")
+    projectors = bundled("tomography", "james16")
+    if case == "crystal":
+        return solve(drop="pump_nm"), tmp_path / "crystal.json", "pump_nm"
+    if case == "sellmeier":
+        del sellmeier["valid_temperature_C"]
+        return (solve(sellmeier=sellmeier), tmp_path / "sellmeier.json",
+                "valid_temperature_C")
+    if case == "coefficient":   # its error names the set, not the file
+        coefficients = sellmeier["coefficients"]
+        coefficients["A2"] = coefficients.pop("a2")
+        return solve(sellmeier=sellmeier), None, "A2"
+    if case in ("projectors", "ket"):
+        if case == "projectors":
+            del projectors["settings"]
+        else:
+            projectors["settings"][3] = ["v", "x"]
+        path = write("projectors.json", projectors)
+        return (["tomo", "simulate", "--projectors", str(path)], path,
+                "settings" if case == "projectors" else "x")
+    rho = rho_freq(0.5, 0.8, 0.0).to_json_dict()
+    del rho["im"]
+    path = write("rho.json", {"rho": rho})
+    return ["tomo", "metrics", "--rho", str(path)], path, "im"
+
+
+@pytest.mark.parametrize("case", ["sellmeier", "crystal", "projectors",
+                                  "rho", "coefficient", "ket"])
+def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
+                                                           capsys, case):
+    # a missing key used to escape as a bare KeyError ("error: 'pump_nm'"),
+    # and a misspelled coefficient name was dropped without a word
+    argv, path, key = broken_input(tmp_path, case)
+    rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "ValueError"
+    assert f"'{key}'" in err["message"]
+    if path is not None:
+        assert str(path) in err["message"]
+
+
+def test_key_error_is_not_a_usage_error(monkeypatch):
+    # a KeyError is a programming error: it propagates, not exit 2
+    def broken(args):
+        raise KeyError("bug")
+    monkeypatch.setattr("freqbin.cli.cmd_tomo_metrics", broken)
+    with pytest.raises(KeyError):
+        main(["tomo", "metrics"])
 
 
 # --- option declarations --------------------------------------------------

@@ -1,8 +1,13 @@
 """Refractive-index, wavenumber, and group-index behavior.
 
 Hard numbers for the bundled extraordinary/ordinary sets were frozen from an
-independent evaluation of the published coefficient polynomials.
+independent evaluation of the published coefficient polynomials. A set's
+own evaluation is checked against an independent in-test reimplementation
+of the two-pole form, the closed forms of the toy sets, and a central
+difference of n for the analytic dn/dlam; its array calls must equal its
+elementwise scalar calls exactly, for every form.
 """
+import json
 from importlib import resources
 
 import numpy as np
@@ -20,6 +25,25 @@ from conftest import const_set
 BUNDLED_SETS = ["cln_e_edwards1984", "cln_o_edwards1984", "cln_e_jundt1997",
                 "mgo_cln_e_gayer2008", "mgo_cln_o_gayer2008"]
 
+TOY_COEFFICIENTS = {
+    "constant": {"n0": 2.31},
+    "linear": {"n0": 2.2, "n1": 0.03},
+    "quadratic": {"n0": 2.2, "n1": -0.05, "n2": 0.775},
+}
+
+
+def toy_set(form, coefficients):
+    return SellmeierSet(name=form, axis=Axis.EXTRAORDINARY, form=form,
+                        coefficients=coefficients, temperature_form="none",
+                        valid_wavelength_um=(0.2, 6.0),
+                        valid_temperature_C=(-50.0, 500.0))
+
+
+def bundled_json(name):
+    return json.loads(resources.files("freqbin").joinpath(
+        f"data/sellmeier/{name}.json").read_text(encoding="utf-8"))
+
+
 # independent hand-evaluation of the bundled coefficient sets
 ORACLE = {
     ("cln_e_edwards1984", 1.550, 120.0): 2.141952253,
@@ -35,6 +59,96 @@ def test_bundled_sets_match_independent_evaluation(key):
     sset = load_sellmeier(name)
     fld = OpticalField(lam_um * 1e-6, "H", t_c)
     assert refractive_index(fld, sset) == pytest.approx(ORACLE[key], abs=1e-8)
+
+
+def test_independent_sellmeier_reimplementation():
+    # recompute n from the file's named coefficients with fresh arithmetic
+    sset = load_sellmeier("cln_e_edwards1984")
+    c = bundled_json("cln_e_edwards1984")["coefficients"]
+
+    def oracle(lam, t):
+        f = (t - c["t0"]) * (t + c["t1"])
+        l2 = lam ** 2
+        n2 = (c["a1"] + c["b1"] * f
+              + (c["a2"] + c["b2"] * f) / (l2 - (c["a3"] + c["b3"] * f) ** 2)
+              + (c["a4"] + c["b4"] * f) / (l2 - c["a5"] ** 2)
+              - c["a6"] * l2)
+        return np.sqrt(n2)
+
+    for lam in (0.775, 1.45, 1.55, 1.65, 2.5):
+        for t in (25.0, 115.785109042, 200.0):
+            assert sset.index(lam, t) == pytest.approx(oracle(lam, t),
+                                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("form", sorted(TOY_COEFFICIENTS))
+def test_toy_form_closed_forms(form):
+    sset = toy_set(form, TOY_COEFFICIENTS[form])
+    lam, t = 1.4, 50.0
+    n, dn = sset.index(lam, t), sset.dn_dlam(lam, t)
+    if form == "constant":
+        assert n == 2.31
+        assert dn == 0.0
+    elif form == "linear":
+        assert n == pytest.approx(2.2 + 0.03 * lam, rel=1e-15)
+        assert dn == pytest.approx(0.03, rel=1e-15)
+    else:
+        assert n == pytest.approx(2.2 - 0.05 * (lam - 0.775) ** 2,
+                                  rel=1e-15)
+        assert dn == pytest.approx(-0.1 * (lam - 0.775), rel=1e-15)
+
+
+def test_analytic_derivative_matches_finite_difference():
+    sset = load_sellmeier("cln_e_edwards1984")
+    h = 1e-6
+    for lam in (1.45, 1.55, 1.65):
+        fd = (sset.index(lam + h, 120.0)
+              - sset.index(lam - h, 120.0)) / (2 * h)
+        assert sset.dn_dlam(lam, 120.0) == pytest.approx(fd, rel=1e-7)
+
+
+@pytest.mark.parametrize("form", ["edwards"] + sorted(TOY_COEFFICIENTS))
+def test_array_call_equals_elementwise_scalar_calls(form):
+    sset = (load_sellmeier("cln_e_edwards1984") if form == "edwards"
+            else toy_set(form, TOY_COEFFICIENTS[form]))
+    lams = np.linspace(1.3, 1.8, 57).reshape(3, 19)
+    t = 118.0
+    for evaluate in (sset.index, sset.dn_dlam):
+        many = evaluate(lams, t)
+        assert isinstance(many, np.ndarray) and many.shape == lams.shape
+        each = np.array([[evaluate(float(lam), t) for lam in row]
+                         for row in lams])
+        assert np.array_equal(many, each)
+
+
+def test_unknown_coefficient_names_are_rejected():
+    # a misspelled name used to be dropped without a word: "A2" for "a2"
+    # moved n at 1550 nm and 110 C from 2.141496 to 2.131655
+    raw = bundled_json("cln_e_edwards1984")
+    coefficients = dict(raw["coefficients"])
+    coefficients["A2"] = coefficients.pop("a2")
+    with pytest.raises(ValueError, match="'A2'"):
+        SellmeierSet(name=raw["name"], axis=Axis.EXTRAORDINARY,
+                     form="sellmeier_t", coefficients=coefficients,
+                     temperature_form="product_offset",
+                     valid_wavelength_um=(0.4, 3.1),
+                     valid_temperature_C=(20.0, 250.0))
+    # a constant set reads only n0
+    with pytest.raises(ValueError, match="'a1'"):
+        toy_set("constant", {"n0": 2.3, "a1": 5})
+    # names the form reads but the dict omits are 0
+    assert toy_set("quadratic", {"n0": 2.2}).coefficients == {
+        "n0": 2.2, "n1": 0.0, "n2": 0.0}
+
+
+def test_bundled_files_list_every_coefficient_their_form_reads():
+    folder = resources.files("freqbin").joinpath("data/sellmeier")
+    names = sorted(f.name[:-5] for f in folder.iterdir()
+                   if f.name.endswith(".json"))
+    assert names == sorted(BUNDLED_SETS)
+    for name in names:
+        listed = set(bundled_json(name)["coefficients"])
+        assert listed == set(load_sellmeier(name).coefficients), name
 
 
 @pytest.mark.parametrize("name", BUNDLED_SETS)

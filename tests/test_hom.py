@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from freqbin import hom
 from freqbin.errors import FitConvergenceError
-from freqbin.hom import (HomParams, HomScan, fit_homi, homi_from_state,
-                         homi_rate, synthesize_scan)
+from freqbin.hom import (HomParams, HomScan, fit_homi, homi_curve,
+                         homi_from_state, homi_jac, homi_rate,
+                         synthesize_scan)
 
 TRUE = HomParams(N=1.0, V=0.934, delta_omega=2 * np.pi * 11.5e12,
                  tau_c=2.40e-12, tau_offset=0.0)
@@ -59,6 +61,30 @@ def test_rate_scalar_vs_vector():
     assert isinstance(s, float)
     assert v.shape == (1,)
     assert v[0] == s
+
+
+def test_homi_jac_matches_finite_difference():
+    tau = np.array([-1.7e-12, -0.4e-12, 0.3e-12, 1.1e-12, 2.9e-12])
+    args = np.array([2000.0, 0.8, 2 * np.pi * 9e12, 2.1e-12, 0.11e-12])
+    jac = homi_jac(tau, *args)
+    rel_h = 1e-7
+    for j in range(5):
+        h = rel_h * max(abs(args[j]), 1e-13)
+        up, dn = args.copy(), args.copy()
+        up[j] += h
+        dn[j] -= h
+        fd = (homi_curve(tau, *up) - homi_curve(tau, *dn)) / (2 * h)
+        scale = max(np.max(np.abs(fd)), 1e-30)
+        assert np.max(np.abs(jac[:, j] - fd)) / scale < 1e-6, f"column {j}"
+
+
+def test_homi_curve_outside_envelope_is_flat_half():
+    tau = np.array([-5e-12, 4e-12, 9e-12])
+    out = homi_curve(tau, 3.0, 0.9, 2 * np.pi * 11.5e12, 2.4e-12, 0.0)
+    assert np.all(out == 1.5)
+    jac = homi_jac(tau, 3.0, 0.9, 2 * np.pi * 11.5e12, 2.4e-12, 0.0)
+    assert np.array_equal(jac[:, 1:], np.zeros((3, 4)))
+    assert np.all(jac[:, 0] == 0.5)
 
 
 def test_from_state_phase_conventions(default_state):
@@ -197,12 +223,13 @@ def test_fit_needs_more_points_than_parameters(points):
         fit_homi(scan, init=TRUE)
 
 
-def test_fit_convergence_error_carries_state():
+def test_fit_convergence_error_carries_state(monkeypatch):
+    monkeypatch.setattr(hom, "_MAX_ITER", 1)
     scan = exact_scan()
     bad_init = {"N": 900.0, "V": 0.3, "delta_omega": 2 * np.pi * 10.0e12,
                 "tau_c": 1.0e-12, "tau_offset": 0.5e-12}
-    with pytest.raises(FitConvergenceError) as exc:
-        fit_homi(scan, init=bad_init, max_iter=1)
+    with pytest.raises(FitConvergenceError, match="in 1 iterations") as exc:
+        fit_homi(scan, init=bad_init)
     last = exc.value.last_iterate
     assert set(last) == {"N", "V", "delta_omega", "tau_c", "tau_offset"}
     assert exc.value.residual > 0.0

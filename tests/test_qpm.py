@@ -16,10 +16,10 @@ from freqbin.biphoton import segment_amplitude
 from freqbin.dispersion import Axis, SellmeierSet
 from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError, WavelengthRangeError)
-from freqbin.qpm import (Branch, CrystalSpec, PhaseMatchPoint, PolingSegment,
-                         _bracketed_root, delta_k, crossing_temperature,
-                         load_crystal, solve_period, solve_signal_idler,
-                         tuning_curve)
+from freqbin.qpm import (_CROSSING_TOL_C, _PAIR_TOL, Branch, CrystalSpec,
+                         PhaseMatchPoint, PolingSegment, _bracketed_root,
+                         delta_k, crossing_temperature, load_crystal,
+                         solve_period, solve_signal_idler, tuning_curve)
 
 from conftest import PAIRINGS, const_set, design_crystal
 
@@ -227,8 +227,8 @@ def _bisect(f, lo, hi, width):
        t_c=st.floats(50.0, 170.0), segment=st.integers(0, 1))
 def test_pair_root_properties(pairing, t_c, segment):
     spec = dataclasses.replace(design_crystal(pairing), temperature=t_c)
-    tol = 1e-3
-    pt = solve_signal_idler(spec, segment, tol=tol)
+    tol = _PAIR_TOL
+    pt = solve_signal_idler(spec, segment)
     lp, ls, li = pt.pump_wavelength, pt.signal_wavelength, pt.idler_wavelength
     assert abs(1.0 / lp - 1.0 / ls - 1.0 / li) <= 1e-13 / lp
     assert abs(pt.residual_mismatch) <= tol
@@ -251,10 +251,8 @@ def test_pair_root_properties(pairing, t_c, segment):
 
 @settings(max_examples=25)
 @given(pairing=st.sampled_from(sorted(PAIRINGS)),
-       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53),
-       tol_c=st.sampled_from([1e-9, 1e-6, 1e-3]))
-def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um,
-                                                tol_c):
+       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53))
+def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um):
     spec = design_crystal(pairing, t0_c=t0_c, signal_um=signal_um)
     t_bracket = (t0_c - 20.0, t0_c + 20.0)
     nu_p = C / spec.pump_wavelength
@@ -264,8 +262,9 @@ def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um,
         return sum(C / solve_signal_idler(mod, j).signal_wavelength
                    for j in range(2)) - nu_p
 
-    t_star = crossing_temperature(spec, t_bracket, tol_c=tol_c)
-    assert abs(t_star - _bisect(gap, *t_bracket, tol_c)) <= tol_c
+    t_star = crossing_temperature(spec, t_bracket)
+    assert abs(t_star - _bisect(gap, *t_bracket, _CROSSING_TOL_C)) \
+        <= _CROSSING_TOL_C
 
 
 # --- frozen behavior of the bundled crystal --------------------------------
