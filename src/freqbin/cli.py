@@ -573,9 +573,7 @@ def _with_config(ap, argv) -> list:
     path = Path(config)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
+    payload = _parse_json(path.read_text(), path)
     parser, k = ap, 0          # follow the command words to the subcommand
     while k < len(argv) and argv[k] in _subparsers(parser):
         parser = _subparsers(parser)[argv[k]]

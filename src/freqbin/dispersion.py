@@ -193,9 +193,14 @@ class _JsonObject(dict):
 
 
 def _parse_json(text: str, where) -> dict:
-    """Parsed JSON ``text`` read from ``where``, objects as _JsonObject."""
-    return json.loads(text, object_pairs_hook=lambda pairs: _JsonObject(
+    """Parsed JSON ``text`` read from ``where``, objects as _JsonObject;
+    ValueError naming ``where`` unless it holds an object."""
+    payload = json.loads(text, object_pairs_hook=lambda pairs: _JsonObject(
         pairs, where))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: expected a JSON object, not "
+                         f"{type(payload).__name__}")
+    return payload
 
 
 def _read_json(kind: str, source) -> dict:

@@ -337,10 +337,10 @@ class TomographyResult:
     certified_gap: float
 
 
-def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
-                   full_output: bool = False):
+def mle_tomography(data: TomographyDataset, full_output: bool = False):
     """Poisson maximum-likelihood reconstruction by accelerated projected
-    gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)).
+    gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)). The state is
+    labelled ``POL_BASIS``, the basis the projector settings act in.
 
     The log-likelihood sum_k c_k log mu_k - tr(G s), mu_k = tr(Pi_k s) and
     G = sum_k Pi_k, is concave in the unnormalized state s >= 0, with
@@ -449,7 +449,7 @@ def mle_tomography(data: TomographyDataset, basis=POL_BASIS,
 
     rho = 0.5 * (sigma + sigma.conj().T)
     rho = rho / np.real(np.trace(rho))
-    dm = DensityMatrix(rho, tuple(basis))
+    dm = DensityMatrix(rho, POL_BASIS)
     if full_output:
         return TomographyResult(rho=dm, log_likelihood=ll,
                                 ll_history=tuple(history), n_iter=it,

@@ -9,7 +9,8 @@ splitting under a triangular envelope:
 with u = tau - tau_offset. ``homi_curve`` and ``homi_jac`` evaluate it and
 its analytic Jacobian, looping over the delays. The fitter is a damped
 Gauss-Newton (Levenberg-Marquardt) weighted least-squares over all five
-parameters; weights are Poisson, sigma = sqrt(max(count, 1)).
+parameters; weights are Poisson, sigma = sqrt(max(count, 1)). Its start
+needs no prior: a spectral peak, two moments and one linear solve.
 """
 from __future__ import annotations
 
@@ -184,74 +185,71 @@ def synthesize_scan(params: HomParams, delays, pairs_per_point: float,
                                 "rng_seed": int(rng_seed)})
 
 
-def _initial_guess(scan: HomScan) -> dict:
-    d, c = scan.delays, scan.counts
-    n = len(d)
-    # baseline from the outer 20% of points on each side; N = 2 * baseline
-    k = max(n // 10, 1)
-    baseline = float(np.mean(np.concatenate([c[:k], c[-k:]])))
-    if baseline <= 0.0:
-        baseline = max(float(c.mean()), 1e-12)
-    n0 = 2.0 * baseline
-
-    # dominant non-DC frequency of the mean-subtracted record
-    dt = float(np.mean(np.diff(d)))
-    spec = np.abs(np.fft.rfft(c - c.mean()))
-    freqs = np.fft.rfftfreq(n, dt)
-    if len(spec) > 1:
-        j = 1 + int(np.argmax(spec[1:]))
-        dw0 = 2.0 * np.pi * freqs[j]
-    else:
-        dw0 = 0.0
-
-    tau00 = float(d[int(np.argmin(c))])
-
-    # envelope of |counts - baseline| decays linearly to 0 at |u| = tau_c
-    u = np.abs(d - tau00)
-    dev = np.abs(c - baseline)
-    big = dev > 0.25 * dev.max()
-    if big.sum() >= 2:
-        a, b = np.polyfit(u[big], dev[big], 1)
-        tau_c0 = -b / a if a < 0.0 else u.max()
-    else:
-        tau_c0 = u.max()
-    tau_c0 = float(np.clip(tau_c0, 0.1 * u.max(), 2.0 * u.max()))
-
-    v0 = float(np.clip((c.max() - c.min()) / max(n0, 1e-12), 0.05, 1.0))
-    return {"N": n0, "V": v0, "delta_omega": max(dw0, np.pi / (n * dt)),
-            "tau_c": tau_c0, "tau_offset": tau00}
+def _initial_guess(scan: HomScan, w) -> dict:
+    d, c, s = scan.delays, scan.counts, scan.uncertainties
+    t = np.linspace(d[0], d[-1], len(d))
+    spec = np.abs(np.fft.rfft(np.interp(t, d, c) - c.mean()))
+    dw0 = 2.0 * np.pi * np.fft.rfftfreq(len(t), t[1] - t[0])[
+        1 + np.argmax(spec[1:])]
+    p = np.clip((c - c.mean()) ** 2 - s ** 2, 0.0, None)
+    if np.count_nonzero(p) < 2:
+        raise FitConvergenceError("beat power above the Poisson noise at "
+                                  "fewer than two delays: nothing to fit")
+    centre = p @ d / p.sum()
+    # a triangle of half-base tau_c has env^2 variance tau_c^2 / 10
+    tau_c0 = np.sqrt(10.0 * (p @ (d - centre) ** 2) / p.sum())
+    # counts = N/2 - (N V / 2) cos(dw0 u - phase) env(u - shift) is linear
+    # in five coefficients to first order in the shift of the envelope
+    u = d - centre
+    env = np.clip(1.0 - np.abs(u) / tau_c0, 0.0, None)
+    slope = np.sign(u) * (env > 0.0) / tau_c0   # d env(u - shift) / d shift
+    cos, sin = np.cos(dw0 * u), np.sin(dw0 * u)
+    basis = np.stack([np.ones_like(u), cos * env, sin * env, cos * slope,
+                      sin * slope], axis=1)
+    a0, a1, a2, b1, b2 = np.linalg.lstsq(basis * w[:, None], c * w)[0]
+    # the fringe dip of that phase nearest the shifted envelope centre
+    shift = (a1 * b1 + a2 * b2) / (a1 * a1 + a2 * a2)
+    phase = np.arctan2(-a2, -a1)
+    phase += 2.0 * np.pi * np.round((dw0 * shift - phase) / (2.0 * np.pi))
+    return {"N": float(2.0 * a0), "V": float(np.hypot(a1, a2) / a0),
+            "delta_omega": float(dw0), "tau_c": float(tau_c0),
+            "tau_offset": float(centre + phase / dw0)}
 
 
 def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
     """Weighted Levenberg-Marquardt fit of the five-parameter beat model.
 
-    Initialization follows a fixed heuristic chain (baseline, DFT beat
-    frequency, minimum-count offset, linear envelope fit) unless ``init``
-    supplies starting values; partial dicts override individual entries.
-    Raises FitConvergenceError (carrying the last iterate) if the loop
-    runs ``_MAX_ITER`` iterations without the relative step dropping below
-    tolerance, or up front if the scan has no more points than the five
-    parameters.
+    The start: delta_omega is the spectral peak of the counts resampled
+    onto a uniform delay grid, the envelope's centre and tau_c are moments
+    of the beat power above the Poisson noise, and one weighted linear fit
+    gives N, V, the fringe phase and a first-order shift of that centre;
+    tau_offset is the dip of that phase nearest the shifted centre.
+    ``init`` (dict or HomParams) overrides it, a partial dict entry by
+    entry. Raises FitConvergenceError (carrying the last iterate) after
+    ``_MAX_ITER`` iterations without the relative step falling below
+    tolerance, and up front for a scan of no more points than parameters
+    or with beat power above the noise at fewer than two delays.
     """
     if len(scan.delays) <= len(_PARAM_NAMES):
         raise FitConvergenceError(
             f"{len(scan.delays)} scan points cannot determine the "
             f"{len(_PARAM_NAMES)} model parameters; need at least "
             f"{len(_PARAM_NAMES) + 1}")
-    guess = _initial_guess(scan)
+    d, c = scan.delays, scan.counts
+    w = 1.0 / np.maximum(scan.uncertainties, 1e-12)
+    guess = _initial_guess(scan, w)
     flags = []
     if isinstance(init, HomParams):
         guess = {k: getattr(init, k) for k in _PARAM_NAMES}
-    elif init:
+    elif init is not None:
+        if not isinstance(init, dict):
+            raise ValueError("'init' must be a dict of starting values or "
+                             f"HomParams, not {type(init).__name__}")
         unknown = set(init) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown init parameters: {sorted(unknown)}")
         guess.update({k: float(v) for k, v in init.items()})
     theta = np.array([guess[k] for k in _PARAM_NAMES])
-
-    d = scan.delays
-    c = scan.counts
-    w = 1.0 / np.maximum(scan.uncertainties, 1e-12)
 
     def model(th):
         return homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4])

@@ -159,6 +159,10 @@ def load_crystal(source) -> CrystalSpec:
     {axis: path-or-bundled-name}, optional pump_polarization (default "V").
     """
     raw = _read_json("crystals", source)
+    if not (isinstance(raw["segments"], list)
+            and all(isinstance(s, dict) for s in raw["segments"])):
+        raise ValueError(f"{raw.where}: 'segments' must be a list of "
+                         "JSON objects")
     segments = tuple(
         PolingSegment(period=s["period_um"] * 1e-6,
                       length=s["length_mm"] * 1e-3,

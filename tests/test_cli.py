@@ -527,6 +527,35 @@ def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
         assert str(path) in err["message"]
 
 
+@pytest.mark.parametrize("case", ["init", "rho", "segments"])
+def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
+                                                         case):
+    # a value of the wrong JSON type is a usage error, like a missing key
+    if case == "init":
+        main(["hom", "synth", "--out-dir", str(tmp_path)])
+        argv = ["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
+                "--init", '"N"']
+        names = ["'init'"]
+    else:
+        path = tmp_path / f"{case}.json"
+        if case == "rho":
+            path.write_text("[1, 2]")
+            argv = ["tomo", "metrics", "--rho", str(path)]
+            names = [str(path)]
+        else:
+            crystal = bundled("crystals", "default")
+            crystal["segments"] = [1]
+            path.write_text(json.dumps(crystal))
+            argv = ["qpm", "solve", "--crystal", str(path)]
+            names = [str(path), "'segments'"]
+    capsys.readouterr()
+    rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "ValueError"
+    assert all(name in err["message"] for name in names)
+
+
 def test_key_error_is_not_a_usage_error(monkeypatch):
     # a KeyError is a programming error: it propagates, not exit 2
     def broken(args):

@@ -290,8 +290,9 @@ def test_mle_noiseless_bell(james):
 def test_mle_noiseless_working_point(james):
     truth = rho_freq(0.516, 0.934, 0.0)
     data = simulate_counts(truth, james, 4000.0, rng_seed=None)
-    res = mle_tomography(data, basis=FREQ_BASIS, full_output=True)
+    res = mle_tomography(data, full_output=True)
     assert isinstance(res, TomographyResult)
+    assert res.rho.basis_labels == POL_BASIS
     assert np.max(np.abs(res.rho.elements - truth.elements)) < 1e-4
     # saturated-model reference: exact data must reach the 0 ceiling
     assert -1e-6 <= res.log_likelihood <= 1e-9

@@ -1,6 +1,9 @@
 """Beat-note coincidence model and the five-parameter scan fitter."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin import hom
 from freqbin.errors import FitConvergenceError
@@ -214,6 +217,91 @@ def test_fit_aliased_sampling_needs_init():
     assert told.residual_norm < blind.residual_norm
 
 
+def assert_within(fit, truth, names, k=5.0):
+    for name in names:
+        miss = abs(getattr(fit, name) - getattr(truth, name))
+        assert miss <= k * fit.stderr[name], (name, miss / fit.stderr[name])
+
+
+def test_blind_fit_finds_the_dip_at_the_operating_point():
+    # at V = 0.874 the fringes next to the dip are only a few percent
+    # shallower, so the lowest count is often on one of them, a beat period
+    # (~91 fs) from the dip: a start there ends on the wrong fringe
+    rng = np.random.default_rng(874)
+    for _ in range(40):
+        truth = HomParams(N=1.0, V=0.874, delta_omega=2 * np.pi * 11e12,
+                          tau_c=1.3e-12,
+                          tau_offset=rng.uniform(-50e-15, 50e-15))
+        delays = np.linspace(-2.5e-12, 2.5e-12, rng.integers(300, 601))
+        pairs = math.exp(rng.uniform(math.log(100.0), math.log(5000.0)))
+        scan = synthesize_scan(truth, delays, pairs,
+                               rng_seed=int(rng.integers(2**31)))
+        assert_within(fit_homi(scan), truth, ("V", "tau_offset"))
+
+
+def two_step_delays(tau_c, half_range):
+    """10 fs steps inside +-tau_c, 100 fs steps outside."""
+    inner = np.arange(-tau_c, tau_c + 5e-15, 10e-15)
+    outer = np.arange(tau_c + 100e-15, half_range + 1e-18, 100e-15)
+    return np.concatenate([-outer[::-1], inner, outer])
+
+
+def jittered_delays(half_range, rng):
+    """Uniform 20 fs steps, each delay moved by up to +-30% of a step."""
+    d = np.arange(-half_range, half_range + 1e-18, 20e-15)
+    return d + rng.uniform(-0.3, 0.3, len(d)) * 20e-15
+
+
+@pytest.mark.parametrize("grid", ["two_step", "jittered"])
+def test_blind_fit_on_nonuniform_delay_grid(grid):
+    # a DFT over the sample index, which assumes one delay step, misreads
+    # the beat frequency on such grids
+    rng = np.random.default_rng(11)
+    for v, tau_c, pairs in ((0.874, 1.3e-12, 2000.0), (0.5, 2.2e-12, 800.0),
+                            (0.95, 3.5e-12, 5000.0)):
+        truth = HomParams(N=1.0, V=v, delta_omega=2 * np.pi * 11.2e12,
+                          tau_c=tau_c, tau_offset=rng.uniform(-50e-15, 50e-15))
+        delays = (two_step_delays(tau_c, 1.5 * tau_c) if grid == "two_step"
+                  else jittered_delays(1.5 * tau_c, rng))
+        scan = synthesize_scan(truth, delays, pairs,
+                               rng_seed=int(rng.integers(2**31)))
+        assert_within(fit_homi(scan), truth,
+                      ("V", "delta_omega", "tau_c", "tau_offset"))
+
+
+@settings(max_examples=30)
+@given(v=st.floats(0.3, 0.98), dw_thz=st.floats(10.5, 11.5),
+       tau_c_ps=st.floats(1.0, 4.0), tau0_fs=st.floats(-50.0, 50.0),
+       points_frac=st.floats(0.0, 1.0),
+       log_pairs=st.floats(math.log(200.0), math.log(20000.0)),
+       seed=st.integers(0, 2**31 - 1))
+def test_blind_fit_over_the_analysis_ranges(v, dw_thz, tau_c_ps, tau0_fs,
+                                            points_frac, log_pairs, seed):
+    # the benchmark's analysis ranges: +-1.5 tau_c at steps of at most
+    # 30 fs, 121-2001 delays log-uniform, 200-20000 pairs per point
+    truth = HomParams(N=1.0, V=v, delta_omega=2 * np.pi * dw_thz * 1e12,
+                      tau_c=tau_c_ps * 1e-12, tau_offset=tau0_fs * 1e-15)
+    fewest = max(121, math.ceil(3.0 * tau_c_ps * 1e3 / 30.0) + 1)
+    points = round(fewest * (2001 / fewest) ** points_frac)
+    delays = np.linspace(-1.5 * truth.tau_c, 1.5 * truth.tau_c, points)
+    scan = synthesize_scan(truth, delays, math.exp(log_pairs), rng_seed=seed)
+    assert_within(fit_homi(scan), truth, ("V", "delta_omega", "tau_c"))
+
+
+SPIKE = np.where(np.arange(241) == 120, 50.0, 0.0)
+
+
+@pytest.mark.parametrize("counts", [np.zeros(241), SPIKE],
+                         ids=["all_zero", "one_spike"])
+def test_fit_without_beat_power_raises(counts):
+    # no envelope can be measured; warnings are errors here, so this also
+    # checks that the start divides by no zero width
+    scan = HomScan(delays=DELAYS, counts=counts,
+                   uncertainties=np.sqrt(np.maximum(counts, 1.0)))
+    with pytest.raises(FitConvergenceError, match="nothing to fit"):
+        fit_homi(scan)
+
+
 @pytest.mark.parametrize("points", [2, 5])
 def test_fit_needs_more_points_than_parameters(points):
     scan = exact_scan(delays=np.linspace(-1e-12, 1e-12, points))
@@ -239,6 +327,9 @@ def test_fit_init_variants():
     scan = exact_scan()
     with pytest.raises(ValueError, match="unknown init"):
         fit_homi(scan, init={"visibility": 0.9})
+    for wrong in ("N", [], 0):
+        with pytest.raises(ValueError, match="'init' must be a dict"):
+            fit_homi(scan, init=wrong)
     via_params = fit_homi(scan, init=TRUE)
     assert via_params.V == pytest.approx(0.934, abs=1e-8)
     # partial dict overrides only the named entry
