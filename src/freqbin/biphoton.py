@@ -31,7 +31,7 @@ from .dispersion import Polarization, group_index
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
 from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _bracketed_root,
-                  _check_span, _mismatch, solve_signal_idler)
+                  _check_span, _mismatch, _solve_rows, _solved)
 
 
 def _sinc(x):
@@ -113,10 +113,12 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
                                           Polarization.H, Polarization.V)))
     omega = np.asarray(omega_s, dtype=float)
     lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
-    _check_span(spec, sets, lam_s_um.min(), lam_s_um.max())
+    t_c, lam_p_um = spec.temperature, spec.pump_wavelength * 1e6
+    _check_span(sets, t_c, lam_p_um, lam_s_um.min(), lam_s_um.max())
 
     # rad/m: kappa = k_p - k_s - k_i, big_s = k_s + k_i
-    kappa, big_s = (1e6 * k for k in _mismatch(spec, sets, lam_s_um))
+    kappa, big_s = (1e6 * k for k in _mismatch(sets, t_c, lam_p_um,
+                                                lam_s_um))
     dk = kappa - TWO_PI / seg.period
 
     amp = seg.amplitude_scale * seg.length * _sinc(0.5 * dk * seg.length)
@@ -144,7 +146,8 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     spanning every segment's phase-matched peak plus ``lobes`` sinc lobes of
     margin, with at least 20 points per main lobe enforced.
     """
-    points = [solve_signal_idler(spec, j) for j in range(len(spec.segments))]
+    points = _solved(_solve_rows(spec, range(len(spec.segments)),
+                                 spec.temperature, spec.pump_wavelength))
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
     centers = [TWO_PI * C_M_PER_S / p.signal_wavelength for p in points]
 

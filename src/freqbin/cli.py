@@ -309,7 +309,11 @@ def _rho_from_args(args) -> DensityMatrix:
         if not path.exists():
             raise FileNotFoundError(f"no such file: {path}")
         payload = _parse_json(path.read_text(), path)
-        return DensityMatrix.from_json_dict(payload.get("rho", payload))
+        rho = payload.get("rho", payload)
+        if not isinstance(rho, dict):
+            raise ValueError(f"{path}: 'rho' must be a JSON object, not "
+                             f"{type(rho).__name__}")
+        return DensityMatrix.from_json_dict(rho)
     rho = rho_freq(float(args.p), float(args.v), float(args.phi))
     if args.tau_fs is not None:
         rho = mode_convert(rho, float(args.tau_fs) * 1e-15,

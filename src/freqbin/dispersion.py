@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -147,6 +148,24 @@ class SellmeierSet:
                - 2.0 * c["a6"] * lam_um)
         return dn2 / (2.0 * self.index(lam_um, t_c))
 
+    def dn_dT(self, lam_um, t_c):
+        """Analytic dn/dT [1/degC], for the arguments ``index`` takes; 0
+        for the temperature-free forms."""
+        c = self.coefficients
+        if self.form != "sellmeier_t":
+            return np.zeros(np.shape(lam_um))[()]
+        f = (t_c - c["t0"]) * (t_c + c["t1"])
+        lam2 = lam_um * lam_um
+        pole1 = c["a3"] + c["b3"] * f
+        den1 = lam2 - pole1 * pole1
+        # d(n^2)/df; the pole moves with f through b3
+        dn2_df = (c["b1"] + c["b2"] / den1
+                  + 2.0 * c["b3"] * pole1 * (c["a2"] + c["b2"] * f)
+                  / (den1 * den1)
+                  + c["b4"] / (lam2 - c["a5"] * c["a5"]))
+        df_dt = 2.0 * t_c + c["t1"] - c["t0"]
+        return dn2_df * df_dt / (2.0 * self.index(lam_um, t_c))
+
     def check_range(self, wavelength_um: float, temperature_C: float) -> None:
         lo, hi = self.valid_wavelength_um
         if not lo <= wavelength_um <= hi:
@@ -190,6 +209,21 @@ class _JsonObject(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.where}: missing key '{key}'")
+
+    def number(self, key, default=None):
+        """The JSON number at ``key`` (``default`` when given and the key
+        is absent); ValueError naming the file and the key otherwise."""
+        value = self[key] if default is None else self.get(key, default)
+        return _number(value, f"{self.where}: '{key}'")
+
+
+def _number(value, what: str):
+    """``value`` if it is a real number (a bool is not); otherwise
+    ValueError saying that ``what`` must be one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, not "
+                         f"{type(value).__name__}")
+    return value
 
 
 def _parse_json(text: str, where) -> dict:

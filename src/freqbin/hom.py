@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dispersion import _number
 from .errors import FitConvergenceError
 
 _PARAM_NAMES = ("N", "V", "delta_omega", "tau_c", "tau_offset")
@@ -248,7 +249,8 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
         unknown = set(init) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown init parameters: {sorted(unknown)}")
-        guess.update({k: float(v) for k, v in init.items()})
+        guess.update({k: float(_number(v, f"'init' value of '{k}'"))
+                      for k, v in init.items()})
     theta = np.array([guess[k] for k in _PARAM_NAMES])
 
     def model(th):

@@ -527,27 +527,42 @@ def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
         assert str(path) in err["message"]
 
 
-@pytest.mark.parametrize("case", ["init", "rho", "segments"])
+def wrong_type_input(tmp_path, case):
+    """(argv, names): a run whose input holds a value of the wrong JSON
+    type, and the names (file, key) that its error message must hold."""
+    if case.startswith("init"):
+        main(["hom", "synth", "--out-dir", str(tmp_path)])
+        init, key = {"init": ('"N"', None), "init_value": ('{"N": [1]}', "N"),
+                     "init_str": ('{"N": "1e3"}', "N"),
+                     "init_bool": ('{"V": true}', "V")}[case]
+        return (["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
+                 "--init", init],
+                ["'init'"] + ([f"'{key}'"] if key else []))
+    path = tmp_path / f"{case}.json"
+    if case.startswith("rho"):
+        path.write_text("[1, 2]" if case == "rho" else '{"rho": [1, 2]}')
+        return (["tomo", "metrics", "--rho", str(path)],
+                [str(path)] + (["'rho'"] if case == "rho_value" else []))
+    crystal = bundled("crystals", "default")
+    if case == "segments":
+        crystal["segments"] = [1]
+        key, command = "segments", "solve"
+    else:
+        crystal["pump_nm"] = "x"
+        key, command = "pump_nm", case.rsplit("_", 1)[1]
+    path.write_text(json.dumps(crystal))
+    return ["qpm", command, "--crystal", str(path)], [str(path), f"'{key}'"]
+
+
+@pytest.mark.parametrize("case", ["init", "rho", "segments", "init_value",
+                                  "init_str", "init_bool", "rho_value",
+                                  "pump_nm_solve", "pump_nm_crossing"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
-    # a value of the wrong JSON type is a usage error, like a missing key
-    if case == "init":
-        main(["hom", "synth", "--out-dir", str(tmp_path)])
-        argv = ["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
-                "--init", '"N"']
-        names = ["'init'"]
-    else:
-        path = tmp_path / f"{case}.json"
-        if case == "rho":
-            path.write_text("[1, 2]")
-            argv = ["tomo", "metrics", "--rho", str(path)]
-            names = [str(path)]
-        else:
-            crystal = bundled("crystals", "default")
-            crystal["segments"] = [1]
-            path.write_text(json.dumps(crystal))
-            argv = ["qpm", "solve", "--crystal", str(path)]
-            names = [str(path), "'segments'"]
+    # a value of the wrong JSON type is a usage error, like a missing key;
+    # the *_value and pump_nm cases used to escape as a TypeError (exit 1),
+    # and init_str and init_bool were read as the numbers 1000 and 1
+    argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
     assert rc == 2

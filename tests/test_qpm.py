@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freqbin.biphoton import segment_amplitude
-from freqbin.dispersion import Axis, SellmeierSet
+from freqbin.dispersion import Axis, Polarization, SellmeierSet
 from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError, WavelengthRangeError)
 from freqbin.qpm import (_CROSSING_TOL_C, _PAIR_TOL, Branch, CrystalSpec,
                          PhaseMatchPoint, PolingSegment, _bracketed_root,
-                         delta_k, crossing_temperature, load_crystal,
-                         solve_period, solve_signal_idler, tuning_curve)
+                         _newton_crossing, delta_k, crossing_temperature,
+                         load_crystal, solve_period, solve_signal_idler,
+                         tuning_curve)
 
 from conftest import PAIRINGS, const_set, design_crystal
 
@@ -267,6 +268,48 @@ def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um):
         <= _CROSSING_TOL_C
 
 
+def test_crossing_hands_over_to_the_bracket_search():
+    # n_o^2 = 5.2901 - 1e-4 (T - 100)^2 (sellmeier_t with only a1, b1 and
+    # t0 = -t1 = 100) against a constant n_e = 2.2: both signals are
+    # Lambda_j (n_o - n_e), so the segments cross where n_o = 2.3, at
+    # T = 99 and 101 C, and the gap is even about its 100 C vertex. The
+    # regula falsi start of [99.5, 120] C lies 0.46 C below the vertex,
+    # where the gap is still falling, so Newton's first step goes below
+    # 99.5 C; the gap's Illinois search then finds 101 C.
+    o = SellmeierSet(name="vertex_o", axis=Axis.ORDINARY, form="sellmeier_t",
+                     coefficients={"a1": 5.2901, "b1": -1e-4, "t0": 100.0,
+                                   "t1": -100.0},
+                     temperature_form="product_offset",
+                     valid_wavelength_um=(0.3, 3.0),
+                     valid_temperature_C=(-50.0, 500.0))
+    lam_p, lam_s = 0.775, 1.5
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    spec = CrystalSpec(
+        segments=(PolingSegment(lam_s / 0.1 * 1e-6, 20e-3),
+                  PolingSegment(lam_i / 0.1 * 1e-6, 20e-3)),
+        temperature=110.0, pump_wavelength=lam_p * 1e-6,
+        axis_map={"H": "extraordinary", "V": "ordinary"},
+        sellmeier={"extraordinary": const_set("e", Axis.EXTRAORDINARY, 2.2),
+                   "ordinary": o})
+    t_bracket = (99.5, 120.0)
+    nu_p = C / spec.pump_wavelength
+
+    def gap(t):
+        mod = dataclasses.replace(spec, temperature=t)
+        return sum(C / solve_signal_idler(mod, j).signal_wavelength
+                   for j in range(2)) - nu_p
+
+    ends = [[solve_signal_idler(dataclasses.replace(spec, temperature=t), j)
+             for j in range(2)] for t in t_bracket]
+    assert _newton_crossing(
+        spec, t_bracket, [gap(t) for t in t_bracket],
+        [pair[0].signal_wavelength for pair in ends]) is None
+    t_star = crossing_temperature(spec, t_bracket)
+    assert abs(t_star - _bisect(gap, *t_bracket, _CROSSING_TOL_C)) \
+        <= _CROSSING_TOL_C
+    assert t_star == pytest.approx(101.0, abs=1e-8)
+
+
 # --- frozen behavior of the bundled crystal --------------------------------
 
 def test_default_crystal_shape(default_spec):
@@ -355,6 +398,52 @@ def test_tuning_curve_temperature_gap_outside_validity(default_spec):
     assert curve[1].point is not None
 
 
+def one_solve_per_row(spec, segment, variable, sweep, steps, branch=None):
+    """(value, point) of each sweep value solved alone on a replaced spec,
+    with None where that solve raises a gap's error."""
+    rows = []
+    for v in np.linspace(*sweep, steps):
+        try:
+            pt = solve_signal_idler(
+                dataclasses.replace(spec, **{variable: float(v)}), segment,
+                branch=branch)
+        except (NoPhaseMatchError, WavelengthRangeError,
+                TemperatureRangeError):
+            pt = None
+        rows.append((float(v), pt))
+    return rows
+
+
+@pytest.mark.parametrize("pairing", ["default"] + sorted(PAIRINGS))
+@pytest.mark.parametrize("segment", [0, 1])
+def test_tuning_curve_equals_one_solve_per_row(pairing, segment):
+    # the batched scan repeats each row's arithmetic: equal bit for bit.
+    # 0-260 C leaves every set's validity range at both ends, and pumps
+    # below 0.4 um or far from 775 nm are out of range or unmatched
+    spec = (load_crystal("default") if pairing == "default"
+            else design_crystal(pairing))
+    for variable, sweep, steps in (("temperature", (0.0, 260.0), 27),
+                                   ("pump_wavelength", (0.35e-6, 0.8e-6),
+                                    19)):
+        curve = tuning_curve(spec, segment, variable, sweep, steps)
+        rows = one_solve_per_row(spec, segment, variable, sweep, steps)
+        assert [(tp.value, tp.point) for tp in curve] == rows
+        gaps = sum(pt is None for _, pt in rows)
+        assert 0 < gaps < steps
+
+
+def test_tuning_curve_branch_rows_equal_one_solve_per_row(quad_crystal):
+    # pumps from 760 to 800 nm move the quad toy's mirrored roots from one
+    # in the signal bracket to two, of which the branch picks one
+    sweep = ("pump_wavelength", (0.76e-6, 0.8e-6), 9)
+    for branch in Branch:
+        curve = tuning_curve(quad_crystal, 0, *sweep, branch=branch)
+        assert [(tp.value, tp.point) for tp in curve] \
+            == one_solve_per_row(quad_crystal, 0, *sweep, branch=branch)
+    with pytest.raises(BranchAmbiguityError):
+        tuning_curve(quad_crystal, 0, *sweep)
+
+
 def test_tuning_curve_argument_validation(default_spec):
     with pytest.raises(ValueError):
         tuning_curve(default_spec, 0, variable="pressure")
@@ -395,6 +484,18 @@ def test_crystal_spec_validation(const_crystal):
                     sellmeier={"extraordinary": e})
     with pytest.raises(TemperatureRangeError):
         dataclasses.replace(const_crystal, temperature=1000.0)
+
+
+def test_crystal_spec_maps_normalized_once(const_crystal):
+    # string keys become the enums; a derived spec shares its source's maps
+    # instead of holding copies, so each retained spec is smaller
+    assert all(type(p) is Polarization and type(a) is Axis
+               for p, a in const_crystal.axis_map.items())
+    assert all(type(a) is Axis for a in const_crystal.sellmeier)
+    warm = dataclasses.replace(const_crystal, temperature=30.0)
+    assert warm.axis_map is const_crystal.axis_map
+    assert warm.sellmeier is const_crystal.sellmeier
+    assert warm.sellmeier_for("V") is const_crystal.sellmeier_for("V")
 
 
 def test_crystal_spec_helpers(default_spec):
