@@ -25,8 +25,8 @@ from .errors import (BasisMismatchError, BinReductionError,
                      GridResolutionError, NoPhaseMatchError, PhysicalityError,
                      TemperatureRangeError, TomographyDataError,
                      WavelengthRangeError)
-from .hom import (HomFit, HomParams, HomScan, fit_homi, homi_from_state,
-                  homi_rate, synthesize_scan)
+from .hom import (HomFit, HomParams, HomScan, fit_homi, homi_rate,
+                  synthesize_scan)
 from .qpm import (Branch, CrystalSpec, PhaseMatchPoint, PolingSegment,
                   TuningPoint, crossing_temperature, delta_k, load_crystal,
                   solve_period, solve_signal_idler, tuning_curve)
@@ -49,8 +49,8 @@ __all__ = [
     "NoPhaseMatchError", "PhysicalityError", "TemperatureRangeError",
     "TomographyDataError", "WavelengthRangeError",
     # hom
-    "HomFit", "HomParams", "HomScan", "fit_homi", "homi_from_state",
-    "homi_rate", "synthesize_scan",
+    "HomFit", "HomParams", "HomScan", "fit_homi", "homi_rate",
+    "synthesize_scan",
     # qpm
     "Branch", "CrystalSpec", "PhaseMatchPoint", "PolingSegment",
     "TuningPoint", "crossing_temperature", "delta_k", "load_crystal",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .biphoton import BiphotonState, joint_spectrum, reduce_to_bins
+from .biphoton import joint_spectrum, reduce_to_bins
 from .dispersion import Polarization, _parse_json
 from .entanglement import (Domain, DensityMatrix, concurrence, fidelity,
                            ideal_state, load_projectors, mle_tomography,
@@ -28,8 +28,8 @@ from .entanglement import (Domain, DensityMatrix, concurrence, fidelity,
 from .errors import (BinReductionError, BranchAmbiguityError,
                      FitConvergenceError, GridResolutionError,
                      NoPhaseMatchError, PhysicalityError, TomographyDataError)
-from .hom import HomParams, HomScan, fit_homi, homi_from_state, homi_rate, \
-    synthesize_scan
+from .hom import (HomParams, HomScan, _poisson_sigma, fit_homi, homi_rate,
+                  synthesize_scan)
 from .qpm import (C_M_PER_S, TWO_PI, Branch, CrystalSpec, PhaseMatchPoint,
                   crossing_temperature, load_crystal, solve_period,
                   solve_signal_idler, tuning_curve)
@@ -44,18 +44,16 @@ _UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
 
 def _fmt(x) -> str:
     """Deterministic short float formatting for CSV cells."""
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "nan"
-    return f"{x:.12g}"
+    return "nan" if x is None else f"{x:.12g}"
 
 
 def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
     """Write one output file into the output directory and report its path.
 
-    Without ``header`` the file is JSON: ``payload`` plus a ``meta`` block.
-    With it the file is CSV: ``# key: value`` metadata lines, the header,
-    then ``rows``, whose strings are written as they are and numbers
-    through ``_fmt``.
+    Without ``header`` the file is strict JSON, ``payload`` plus a ``meta``
+    block: a NaN or infinity in it raises ValueError. With it the file is
+    CSV: ``# key: value`` metadata lines, the header, then ``rows``, whose
+    strings are written as they are and numbers through ``_fmt``.
     """
     meta = {"tool": "freqbin", "version": __version__,
             "timestamp": (args.timestamp
@@ -65,7 +63,7 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
                        if k not in _UNRECORDED}}
     if header is None:
         text = json.dumps({"meta": meta, **payload}, indent=2,
-                          sort_keys=True)
+                          sort_keys=True, allow_nan=False)
     else:
         lines = [f"# tool: freqbin {__version__}",
                  f"# timestamp: {meta['timestamp']}", f"# seed: {seed}",
@@ -248,12 +246,10 @@ def cmd_spectrum(args) -> int:
 
 def _hom(args):
     """The beat-model parameters and the delay grid of the HOM options."""
-    params = HomParams(N=float(args.n), V=float(args.v),
-                       delta_omega=TWO_PI * float(args.dw_thz) * 1e12,
-                       tau_c=float(args.tauc_ps) * 1e-12,
-                       tau_offset=float(args.tau0_fs) * 1e-15)
-    r = float(args.range_ps) * 1e-12
-    return params, np.linspace(-r, r, int(args.points))
+    params = HomParams(args.n, args.v, TWO_PI * args.dw_thz * 1e12,
+                       args.tauc_ps * 1e-12, args.tau0_fs * 1e-15)
+    r = args.range_ps * 1e-12
+    return params, np.linspace(-r, r, args.points)
 
 
 def cmd_hom_model(args) -> int:
@@ -268,12 +264,12 @@ def cmd_hom_model(args) -> int:
 
 def cmd_hom_synth(args) -> int:
     params, taus = _hom(args)
-    scan = synthesize_scan(params, taus, float(args.pairs), int(args.seed))
+    scan = synthesize_scan(params, taus, args.pairs, args.seed)
     print(f"synthesized {len(taus)} points at ~{args.pairs:g} pairs/point "
           f"(seed {args.seed})")
     _write(args, "hom_synth.csv", header="tau_fs,counts,sigma",
            rows=zip(scan.delays * 1e15, scan.counts, scan.uncertainties),
-           seed=int(args.seed))
+           seed=args.seed)
     return 0
 
 
@@ -282,7 +278,7 @@ def cmd_hom_fit(args) -> int:
                            _read_columns(args.scan, ("tau_fs", "counts",
                                                      "sigma"), "scan file"))
     if np.all(sigma <= 0.0):
-        sigma = np.sqrt(np.maximum(counts, 1.0))
+        sigma = _poisson_sigma(counts)
     scan = HomScan(delays=taus * 1e-15, counts=counts, uncertainties=sigma)
     fit = fit_homi(scan, init=json.loads(args.init) if args.init else None)
     se = fit.stderr
@@ -394,23 +390,21 @@ def cmd_tomo_convert(args) -> int:
 
 
 def cmd_tomo_table1(args) -> int:
-    p, v = float(args.p), float(args.v)
-    dw = TWO_PI * float(args.dw_thz) * 1e12
-    tau_c = float(args.tauc_ps) * 1e-12
-    taus_fs = [float(t) for t in str(args.taus_fs).split(",")]
+    dw = TWO_PI * args.dw_thz * 1e12
+    taus_fs = [float(t) for t in args.taus_fs.split(",")]
     settings = load_projectors(args.projectors)
-    state = BiphotonState(p=p, V=v, phi=0.0, delta_omega=dw, tau_c=tau_c,
-                          bin_centers=(0.0, 0.0))
+    rho_f = rho_freq(args.p, args.v, 0.0)
+    beat = HomParams(1.0, args.v, dw, args.tauc_ps * 1e-12)
     rows = []
     for k, tau_fs in enumerate(taus_fs):
         tau = tau_fs * 1e-15
-        i_over_n = float(homi_from_state(state, tau))
+        i_over_n = homi_rate(beat, tau)
         phi = float(np.mod(dw * tau, TWO_PI))
-        rho_p = mode_convert(rho_freq(p, v, 0.0), tau, dw)
+        rho_p = mode_convert(rho_f, tau, dw)
         f_model = fidelity(rho_p, ideal_state(phi, Domain.POLARIZATION))
         c_model = concurrence(rho_p)
-        data = simulate_counts(rho_p, settings, float(args.expected_total),
-                               int(args.seed) + k)
+        data = simulate_counts(rho_p, settings, args.expected_total,
+                               args.seed + k)
         rec = mle_tomography(data)
         f_mle = fidelity(rec, ideal_state(phi, Domain.POLARIZATION))
         c_mle = concurrence(rec)
@@ -419,7 +413,7 @@ def cmd_tomo_table1(args) -> int:
         print(f"tau = {tau_fs:7.1f} fs: I/N = {i_over_n:.4f}, "
               f"phi = {phi/np.pi:.4f} pi, F = {f_model:.4f}, "
               f"C = {c_model:.4f} (MLE: F = {f_mle:.4f}, C = {c_mle:.4f})")
-    _write(args, "tomo_table1.csv", rows=rows, seed=int(args.seed),
+    _write(args, "tomo_table1.csv", rows=rows, seed=args.seed,
            header="tau_fs,i_over_n,phi_over_pi,fidelity,concurrence,"
                   "fidelity_mle,concurrence_mle")
     return 0
@@ -614,6 +608,10 @@ def main(argv=None) -> int:
             ap.print_help()
             return 2
         error_json = args.error_json
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{dest.replace('_', '-')} must be "
+                                 f"finite, not {value}")
         return args.func(args)
     except _NUMERICAL + _USAGE as exc:
         kind, code = (("numerical", 1) if isinstance(exc, _NUMERICAL)

@@ -216,13 +216,20 @@ class _JsonObject(dict):
         value = self[key] if default is None else self.get(key, default)
         return _number(value, f"{self.where}: '{key}'")
 
+    def bounds(self, key) -> tuple:
+        """The [low, high] pair at ``key``, each checked as by ``number``."""
+        pair = self[key]
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{self.where}: '{key}' must be [low, high]")
+        return tuple(_number(v, f"{self.where}: '{key}'") for v in pair)
+
 
 def _number(value, what: str):
-    """``value`` if it is a real number (a bool is not); otherwise
+    """``value`` if it is a finite real number (a bool is not); otherwise
     ValueError saying that ``what`` must be one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, not "
-                         f"{type(value).__name__}")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
     return value
 
 
@@ -257,14 +264,15 @@ def load_sellmeier(source) -> SellmeierSet:
     ``"cln_e_edwards1984"``.
     """
     raw = _read_json("sellmeier", source)
+    coefficients = raw["coefficients"]
     return SellmeierSet(
         name=raw["name"],
         axis=Axis(raw["axis"]),
         form=raw.get("form", "sellmeier_t"),
-        coefficients=dict(raw["coefficients"]),
+        coefficients={k: coefficients.number(k) for k in coefficients},
         temperature_form=raw.get("temperature_form", "product_offset"),
-        valid_wavelength_um=tuple(raw["valid_wavelength_um"]),
-        valid_temperature_C=tuple(raw["valid_temperature_C"]),
+        valid_wavelength_um=raw.bounds("valid_wavelength_um"),
+        valid_temperature_C=raw.bounds("valid_temperature_C"),
         source=raw.get("source", ""),
     )
 

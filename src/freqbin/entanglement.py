@@ -51,6 +51,8 @@ class DensityMatrix:
         m = np.array(self.elements, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix elements must be finite")
         labels = tuple(self.basis_labels)
         if len(labels) != 4:
             raise ValueError("need exactly 4 basis labels")

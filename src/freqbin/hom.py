@@ -9,8 +9,8 @@ splitting under a triangular envelope:
 with u = tau - tau_offset. ``homi_curve`` and ``homi_jac`` evaluate it and
 its analytic Jacobian, looping over the delays. The fitter is a damped
 Gauss-Newton (Levenberg-Marquardt) weighted least-squares over all five
-parameters; weights are Poisson, sigma = sqrt(max(count, 1)). Its start
-needs no prior: a spectral peak, two moments and one linear solve.
+parameters; a sigma that is not positive counts as sqrt(max(count, 1)).
+Its start needs no prior: a spectral peak, two moments and one linear solve.
 """
 from __future__ import annotations
 
@@ -63,6 +63,9 @@ class HomScan:
         s = np.asarray(self.uncertainties, dtype=float)
         if not (len(d) == len(c) == len(s)):
             raise ValueError("delays/counts/uncertainties length mismatch")
+        for name, a in (("delays", d), ("counts", c), ("uncertainties", s)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(d) <= 0.0):
             raise ValueError("delays must be strictly increasing")
         if np.any(c < 0.0):
@@ -86,7 +89,6 @@ class HomFit:
     covariance: np.ndarray
     residual_norm: float
     n_iter: int
-    converged: bool
     flags: tuple = ()
     init: dict = field(default_factory=dict)
 
@@ -153,18 +155,9 @@ def homi_rate(params: HomParams, tau):
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def homi_from_state(state, tau):
-    """Normalized coincidence probability for a BiphotonState.
-
-    (1/2){1 - V cos(delta_omega*tau + phi) max(0, 1 - |tau|/tau_c)}; the
-    state's phi shifts the fringe, so phi = 0 dips at tau = 0 and phi = pi
-    anti-bunches there.
-    """
-    t = np.asarray(tau, dtype=float)
-    env = np.clip(1.0 - np.abs(t) / state.tau_c, 0.0, None)
-    out = 0.5 * (1.0 - state.V
-                 * np.cos(state.delta_omega * t + state.phi) * env)
-    return float(out) if np.ndim(tau) == 0 else out
+def _poisson_sigma(counts):
+    """The Poisson uncertainty of counts, sqrt(max(count, 1))."""
+    return np.sqrt(np.maximum(counts, 1.0))
 
 
 def synthesize_scan(params: HomParams, delays, pairs_per_point: float,
@@ -176,18 +169,16 @@ def synthesize_scan(params: HomParams, delays, pairs_per_point: float,
     """
     if not pairs_per_point > 0.0:
         raise ValueError("pairs_per_point must be > 0")
-    delays = np.asarray(delays, dtype=float)
     rng = np.random.default_rng(rng_seed)
     mean = homi_rate(params, delays) / (0.5 * params.N) * pairs_per_point
     counts = rng.poisson(mean).astype(float)
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    return HomScan(delays=delays, counts=counts, uncertainties=sigma,
+    return HomScan(delays=delays, counts=counts,
+                   uncertainties=_poisson_sigma(counts),
                    acquisition={"pairs_per_point": float(pairs_per_point),
                                 "rng_seed": int(rng_seed)})
 
 
-def _initial_guess(scan: HomScan, w) -> dict:
-    d, c, s = scan.delays, scan.counts, scan.uncertainties
+def _initial_guess(d, c, s, w) -> dict:
     t = np.linspace(d[0], d[-1], len(d))
     spec = np.abs(np.fft.rfft(np.interp(t, d, c) - c.mean()))
     dw0 = 2.0 * np.pi * np.fft.rfftfreq(len(t), t[1] - t[0])[
@@ -217,7 +208,7 @@ def _initial_guess(scan: HomScan, w) -> dict:
             "tau_offset": float(centre + phase / dw0)}
 
 
-def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
+def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
     """Weighted Levenberg-Marquardt fit of the five-parameter beat model.
 
     The start: delta_omega is the spectral peak of the counts resampled
@@ -225,10 +216,10 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
     of the beat power above the Poisson noise, and one weighted linear fit
     gives N, V, the fringe phase and a first-order shift of that centre;
     tau_offset is the dip of that phase nearest the shifted centre.
-    ``init`` (dict or HomParams) overrides it, a partial dict entry by
-    entry. Raises FitConvergenceError (carrying the last iterate) after
-    ``_MAX_ITER`` iterations without the relative step falling below
-    tolerance, and up front for a scan of no more points than parameters
+    A dict ``init`` overrides it entry by entry. Raises FitConvergenceError
+    (carrying the last iterate) after ``_MAX_ITER`` iterations without the
+    relative step falling below tolerance or when J^T J at the optimum is
+    singular, and up front for a scan of no more points than parameters
     or with beat power above the noise at fewer than two delays.
     """
     if len(scan.delays) <= len(_PARAM_NAMES):
@@ -236,16 +227,15 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
             f"{len(scan.delays)} scan points cannot determine the "
             f"{len(_PARAM_NAMES)} model parameters; need at least "
             f"{len(_PARAM_NAMES) + 1}")
-    d, c = scan.delays, scan.counts
-    w = 1.0 / np.maximum(scan.uncertainties, 1e-12)
-    guess = _initial_guess(scan, w)
+    d, c, s = scan.delays, scan.counts, scan.uncertainties
+    s = np.where(s > 0.0, s, _poisson_sigma(c))
+    w = 1.0 / s
+    guess = _initial_guess(d, c, s, w)
     flags = []
-    if isinstance(init, HomParams):
-        guess = {k: getattr(init, k) for k in _PARAM_NAMES}
-    elif init is not None:
+    if init is not None:
         if not isinstance(init, dict):
-            raise ValueError("'init' must be a dict of starting values or "
-                             f"HomParams, not {type(init).__name__}")
+            raise ValueError("'init' must be a dict of starting values, "
+                             f"not {type(init).__name__}")
         unknown = set(init) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown init parameters: {sorted(unknown)}")
@@ -306,30 +296,31 @@ def fit_homi(scan: HomScan, init: dict | HomParams | None = None) -> HomFit:
             break
 
     theta[3] = abs(theta[3])
+    last = {"last_iterate": dict(zip(_PARAM_NAMES, theta)),
+            "residual": np.sqrt(cost)}
     if not converged:
         raise FitConvergenceError(
             f"no convergence in {_MAX_ITER} iterations "
-            f"(last rel step {np.max(np.abs(delta)/scale):.3g})",
-            last_iterate=dict(zip(_PARAM_NAMES, theta)),
-            residual=np.sqrt(cost))
+            f"(last rel step {np.max(np.abs(delta)/scale):.3g})", **last)
 
     if theta[1] < 0.0 or theta[1] > 1.0:
         flags.append("V_clipped")
         theta[1] = float(np.clip(theta[1], 0.0, 1.0))
 
     j = jac(theta) * w[:, None]
-    h = j.T @ j
     try:
-        cov = np.linalg.inv(h)
+        cov = np.linalg.inv(j.T @ j)
     except np.linalg.LinAlgError:
-        cov = np.full((5, 5), np.nan)
-        flags.append("singular_covariance")
-    se_v = np.sqrt(abs(cov[1, 1])) if np.isfinite(cov[1, 1]) else np.inf
-    if theta[1] < max(2.0 * se_v, 0.02):
+        cov = np.full((5, 5), np.inf)
+    if not np.all(np.isfinite(cov)):
+        raise FitConvergenceError("J^T J is singular at the optimum: the scan "
+                                  "does not determine all five parameters",
+                                  **last)
+    if theta[1] < max(2.0 * np.sqrt(abs(cov[1, 1])), 0.02):
         flags.append("delta_omega_unidentifiable")
 
     return HomFit(N=float(theta[0]), V=float(theta[1]),
                   delta_omega=float(theta[2]), tau_c=float(theta[3]),
                   tau_offset=float(theta[4]), covariance=cov,
                   residual_norm=float(np.sqrt(cost)), n_iter=it,
-                  converged=True, flags=tuple(flags), init=guess)
+                  flags=tuple(flags), init=guess)

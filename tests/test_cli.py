@@ -13,6 +13,7 @@ import pytest
 
 from freqbin.cli import _build_parser, main
 from freqbin.entanglement import rho_freq
+from freqbin.hom import HomParams, synthesize_scan
 
 PAIR_120 = {0: (1504.3894, 1598.4627), 1: (1592.7616, 1509.4744)}
 
@@ -30,8 +31,13 @@ def read_meta_and_rows(path):
     return meta, header, rows
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def load_json(path):
-    return json.loads(path.read_text())
+    """The output file's JSON, parsed strictly: NaN and Infinity fail."""
+    return json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 # --- qpm ------------------------------------------------------------------
@@ -249,6 +255,67 @@ def test_hom_fit_missing_scan_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "hom_fit.json").exists()
 
 
+def write_scan(path, counts, sigma, taus=None):
+    """A scan CSV of the given columns; 241 delays over +-3 ps by default."""
+    taus = taus or np.linspace(-3000.0, 3000.0, len(counts)).tolist()
+    path.write_text("tau_fs,counts,sigma\n" + "".join(
+        f"{t!r},{c!r},{s!r}\n" for t, c, s in zip(taus, counts, sigma)))
+    return path
+
+
+def test_hom_fit_weights_zero_sigma_by_poisson_rule(tmp_path):
+    # written with sigma = sqrt(c), the zero counts of this 8-pair scan
+    # used to be weighted by 1e12: V = 0 +- NaN, 30 NaN tokens in the file
+    scan = synthesize_scan(HomParams(1.0, 0.9, 2 * np.pi * 11e12, 2e-12),
+                           np.linspace(-3e-12, 3e-12, 241), 8.0, 0)
+    path = write_scan(tmp_path / "scan.csv", scan.counts.tolist(),
+                      np.sqrt(scan.counts).tolist())
+    assert main(["hom", "fit", "--scan", str(path), "--out-dir",
+                 str(tmp_path)]) == 0
+    fit = load_json(tmp_path / "hom_fit.json")["fit"]
+    assert fit["V"] == pytest.approx(0.916, abs=1e-3)
+    assert fit["stderr"]["V"] == pytest.approx(0.056, abs=1e-3)
+    assert fit["flags"] == []
+
+
+def test_hom_fit_with_singular_normal_matrix_is_numerical_failure(tmp_path,
+                                                                  capsys):
+    # counts at two adjacent delays only: the fit has no finite errors,
+    # and used to exit 0 writing NaN errors
+    counts = [0.0] * 241
+    counts[120], counts[121] = 50.0, 40.0
+    path = write_scan(tmp_path / "scan.csv", counts,
+                      [max(c, 1.0) ** 0.5 for c in counts])
+    rc = main(["hom", "fit", "--scan", str(path), "--error-json",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "numerical"
+    assert err["error"] == "FitConvergenceError"
+    assert not (tmp_path / "hom_fit.json").exists()
+
+
+@pytest.mark.parametrize("column", ["tau_fs", "counts", "sigma"])
+def test_hom_fit_nonfinite_cell_is_usage_error(tmp_path, capsys, column):
+    # a nan count used to reach LAPACK: "SVD did not converge"
+    scan = synthesize_scan(HomParams(1.0, 0.9, 2 * np.pi * 11e12, 2e-12),
+                           np.linspace(-3e-12, 3e-12, 241), 2000.0, 0)
+    columns = {"tau_fs": (scan.delays * 1e15).tolist(),
+               "counts": scan.counts.tolist(),
+               "sigma": scan.uncertainties.tolist()}
+    columns[column][7] = float("nan")
+    path = write_scan(tmp_path / "scan.csv", columns["counts"],
+                      columns["sigma"], columns["tau_fs"])
+    rc = main(["hom", "fit", "--scan", str(path), "--error-json",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "ValueError"
+    field = {"tau_fs": "delays", "sigma": "uncertainties"}.get(column, column)
+    assert f"{field} must be finite" in err["message"]
+    assert not (tmp_path / "hom_fit.json").exists()
+
+
 def test_short_csv_row_is_usage_error(tmp_path, capsys):
     scan = tmp_path / "short.csv"
     scan.write_text("tau_fs,counts,sigma\n1,2,3\n2,3\n")
@@ -306,6 +373,29 @@ def test_tomo_convert_with_matrix(tmp_path):
         payload["rho"]["im"]))
     phase = np.mod(np.angle(elem[2, 1]), 2 * np.pi)
     assert phase / np.pi == pytest.approx(1.54, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["tomo", "convert", "--tau-fs", "nan"], "--tau-fs"),
+    (["tomo", "metrics", "--tau-fs", "inf"], "--tau-fs"),
+    (["hom", "synth", "--dw-thz", "nan"], "--dw-thz"),
+    (["tomo", "metrics", "--rho", "{rho}"], "elements must be finite"),
+])
+def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
+                                                           argv, needle):
+    # tomo convert --tau-fs nan used to exit 0 writing "tau_fs": NaN, and
+    # the tomo metrics cases to print "Eigenvalues did not converge"
+    rho = rho_freq(0.5, 0.8, 0.0).to_json_dict()
+    rho["re"][0][0] = float("nan")
+    path = tmp_path / "in" / "rho.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"rho": rho}))
+    rc = main([a.format(rho=path) for a in argv]
+              + ["--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and needle in err["message"]
+    assert not list(tmp_path.glob("*.*"))
 
 
 def test_tomo_simulate_reconstruct_closed_loop(tmp_path):
@@ -534,7 +624,8 @@ def wrong_type_input(tmp_path, case):
         main(["hom", "synth", "--out-dir", str(tmp_path)])
         init, key = {"init": ('"N"', None), "init_value": ('{"N": [1]}', "N"),
                      "init_str": ('{"N": "1e3"}', "N"),
-                     "init_bool": ('{"V": true}', "V")}[case]
+                     "init_bool": ('{"V": true}', "V"),
+                     "init_nan": ('{"N": NaN}', "N")}[case]
         return (["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
                  "--init", init],
                 ["'init'"] + ([f"'{key}'"] if key else []))
@@ -544,6 +635,18 @@ def wrong_type_input(tmp_path, case):
         return (["tomo", "metrics", "--rho", str(path)],
                 [str(path)] + (["'rho'"] if case == "rho_value" else []))
     crystal = bundled("crystals", "default")
+    if case.startswith("sellmeier"):
+        sellmeier = bundled("sellmeier", "cln_e_edwards1984")
+        key, value = {"sellmeier_coefficient": ("a2", [1]),
+                      "sellmeier_nan": ("a2", float("nan")),
+                      "sellmeier_range": ("valid_wavelength_um", 5)}[case]
+        (sellmeier["coefficients"] if key == "a2" else sellmeier)[key] = value
+        path.write_text(json.dumps(sellmeier))
+        crystal["sellmeier_files"]["extraordinary"] = str(path)
+        crystal_path = tmp_path / "crystal.json"
+        crystal_path.write_text(json.dumps(crystal))
+        return (["qpm", "solve", "--crystal", str(crystal_path)],
+                [str(path), f"'{key}'"])
     if case == "segments":
         crystal["segments"] = [1]
         key, command = "segments", "solve"
@@ -556,12 +659,15 @@ def wrong_type_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["init", "rho", "segments", "init_value",
                                   "init_str", "init_bool", "rho_value",
-                                  "pump_nm_solve", "pump_nm_crossing"])
+                                  "pump_nm_solve", "pump_nm_crossing",
+                                  "init_nan", "sellmeier_coefficient",
+                                  "sellmeier_nan", "sellmeier_range"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
-    # a value of the wrong JSON type is a usage error, like a missing key;
-    # the *_value and pump_nm cases used to escape as a TypeError (exit 1),
-    # and init_str and init_bool were read as the numbers 1000 and 1
+    # a value of the wrong JSON type, or a NaN, is a usage error, like a
+    # missing key; the *_value, pump_nm and sellmeier cases used to escape
+    # as a TypeError (exit 1), init_str and init_bool were read as the
+    # numbers 1000 and 1, and the NaNs were read as numbers
     argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Beat-note coincidence model and the five-parameter scan fitter."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from freqbin import hom
 from freqbin.errors import FitConvergenceError
-from freqbin.hom import (HomParams, HomScan, fit_homi, homi_curve,
-                         homi_from_state, homi_jac, homi_rate,
-                         synthesize_scan)
+from freqbin.hom import (HomParams, HomScan, fit_homi, homi_curve, homi_jac,
+                         homi_rate, synthesize_scan)
 
 TRUE = HomParams(N=1.0, V=0.934, delta_omega=2 * np.pi * 11.5e12,
                  tau_c=2.40e-12, tau_offset=0.0)
@@ -90,28 +90,15 @@ def test_homi_curve_outside_envelope_is_flat_half():
     assert np.all(jac[:, 0] == 0.5)
 
 
-def test_from_state_phase_conventions(default_state):
-    flat = default_state
-    zero_v = type(flat)(p=0.5, V=0.0, phi=0.0, delta_omega=flat.delta_omega,
-                        tau_c=flat.tau_c, bin_centers=flat.bin_centers)
-    taus = np.linspace(-2e-12, 2e-12, 101)
-    assert np.allclose(homi_from_state(zero_v, taus), 0.5, atol=1e-15)
-
-    bunch = type(flat)(p=0.5, V=0.9, phi=np.pi, delta_omega=flat.delta_omega,
-                       tau_c=flat.tau_c, bin_centers=flat.bin_centers)
-    assert homi_from_state(bunch, 0.0) == pytest.approx((1 + 0.9) / 2,
-                                                        abs=1e-12)
-    dip = type(flat)(p=0.5, V=0.9, phi=0.0, delta_omega=flat.delta_omega,
-                     tau_c=flat.tau_c, bin_centers=flat.bin_centers)
-    assert homi_from_state(dip, 0.0) == pytest.approx((1 - 0.9) / 2,
-                                                      abs=1e-12)
-
-
 def test_default_state_beat_period(default_state):
     # adjacent fringe minima are one beat period 2 pi / delta_omega apart
+    beat = HomParams(N=1.0, V=default_state.V,
+                     delta_omega=default_state.delta_omega,
+                     tau_c=default_state.tau_c)
+
     def minimum_in(lo_fs, hi_fs):
         t = np.arange(lo_fs, hi_fs, 0.05) * 1e-15
-        y = homi_from_state(default_state, t)
+        y = homi_rate(beat, t)
         return t[int(np.argmin(y))]
 
     t1 = minimum_in(-30.0, 30.0)
@@ -152,7 +139,6 @@ def test_synthesize_rejects_nonpositive_pairs():
 
 def test_fit_noiseless_closed_loop():
     fit = fit_homi(exact_scan())
-    assert fit.converged
     assert fit.flags == ()
     assert fit.N == pytest.approx(2 * 2000.0, rel=1e-6)
     assert fit.V == pytest.approx(0.934, abs=1e-6)
@@ -173,7 +159,6 @@ def test_fit_noiseless_with_offset():
 def test_fit_recovers_from_poisson_noise():
     scan = synthesize_scan(TRUE, DELAYS, 2000, rng_seed=7)
     fit = fit_homi(scan)
-    assert fit.converged
     for name, truth in (("V", TRUE.V), ("delta_omega", TRUE.delta_omega),
                         ("tau_c", TRUE.tau_c)):
         err = abs(getattr(fit, name) - truth)
@@ -302,13 +287,50 @@ def test_fit_without_beat_power_raises(counts):
         fit_homi(scan)
 
 
+ZERO_SIGMA_TRUTH = HomParams(N=1.0, V=0.9, delta_omega=2 * np.pi * 11e12,
+                             tau_c=2e-12)
+
+
+def test_fit_weights_nonpositive_sigma_by_poisson_rule():
+    # at 8 pairs per point many counts are 0; written with sigma = sqrt(c)
+    # those points carry sigma 0, which the fit used to weight by 1e12,
+    # ending at V = 0 with NaN errors. The Poisson rule makes it the twin
+    # of the scan written with sigma = sqrt(max(c, 1)).
+    twin = synthesize_scan(ZERO_SIGMA_TRUTH, DELAYS, 8.0, rng_seed=0)
+    assert np.any(twin.counts == 0.0)
+    bare = HomScan(delays=DELAYS, counts=twin.counts,
+                   uncertainties=np.sqrt(twin.counts))
+    got, want = fit_homi(bare), fit_homi(twin)
+    assert got.params() == want.params()
+    assert np.array_equal(got.covariance, want.covariance)
+    assert got.residual_norm == want.residual_norm
+    assert want.V == pytest.approx(0.916, abs=1e-3)
+    assert want.stderr["V"] == pytest.approx(0.056, abs=1e-3)
+
+
+TWO_ADJACENT = np.where(np.arange(241) == 120, 50.0,
+                        np.where(np.arange(241) == 121, 40.0, 0.0))
+
+
+@pytest.mark.parametrize("sigma", ["poisson", "zero"])
+def test_fit_with_singular_normal_matrix_raises(sigma):
+    # two nonzero delays fix no envelope: J^T J at the optimum is singular,
+    # and the fit used to return NaN errors flagged singular_covariance
+    s = (np.sqrt(np.maximum(TWO_ADJACENT, 1.0)) if sigma == "poisson"
+         else np.where(TWO_ADJACENT > 0.0, np.sqrt(TWO_ADJACENT), 0.0))
+    scan = HomScan(delays=DELAYS, counts=TWO_ADJACENT, uncertainties=s)
+    with pytest.raises(FitConvergenceError, match="singular") as exc:
+        fit_homi(scan)
+    assert set(exc.value.last_iterate) == set(asdict(TRUE))
+
+
 @pytest.mark.parametrize("points", [2, 5])
 def test_fit_needs_more_points_than_parameters(points):
     scan = exact_scan(delays=np.linspace(-1e-12, 1e-12, points))
     with pytest.raises(FitConvergenceError, match="5 model parameters"):
         fit_homi(scan)
     with pytest.raises(FitConvergenceError, match="5 model parameters"):
-        fit_homi(scan, init=TRUE)
+        fit_homi(scan, init=asdict(TRUE))
 
 
 def test_fit_convergence_error_carries_state(monkeypatch):
@@ -327,11 +349,11 @@ def test_fit_init_variants():
     scan = exact_scan()
     with pytest.raises(ValueError, match="unknown init"):
         fit_homi(scan, init={"visibility": 0.9})
-    for wrong in ("N", [], 0):
+    for wrong in ("N", [], 0, TRUE):
         with pytest.raises(ValueError, match="'init' must be a dict"):
             fit_homi(scan, init=wrong)
-    via_params = fit_homi(scan, init=TRUE)
-    assert via_params.V == pytest.approx(0.934, abs=1e-8)
+    full = fit_homi(scan, init=asdict(TRUE))
+    assert full.V == pytest.approx(0.934, abs=1e-8)
     # partial dict overrides only the named entry
     part = fit_homi(scan, init={"V": 0.5})
     assert part.init["V"] == 0.5
@@ -372,6 +394,17 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         HomScan(delays=d, counts=np.ones(3),
                 uncertainties=np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("field", ["delays", "counts", "uncertainties"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scan_rejects_nonfinite_values_naming_the_field(field, bad):
+    # a NaN count used to reach LAPACK ("SVD did not converge")
+    values = {"delays": np.array([0.0, 1.0, 2.0]) * 1e-12,
+              "counts": np.ones(3), "uncertainties": np.ones(3)}
+    values[field][-1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        HomScan(**values)
 
 
 def test_params_validation():
