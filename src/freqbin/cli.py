@@ -352,7 +352,6 @@ def cmd_tomo_reconstruct(args) -> int:
         "rho": result.rho.to_json_dict(),
         "diagnostics": {"log_likelihood": result.log_likelihood,
                         "n_iter": result.n_iter,
-                        "converged": result.converged,
                         "certified_gap": result.certified_gap}})
     return 0
 

@@ -216,6 +216,15 @@ class _JsonObject(dict):
         value = self[key] if default is None else self.get(key, default)
         return _number(value, f"{self.where}: '{key}'")
 
+    def object(self, key) -> "_JsonObject":
+        """The JSON object at ``key``; ValueError naming the file and the
+        key otherwise."""
+        value = self[key]
+        if not isinstance(value, _JsonObject):
+            raise ValueError(f"{self.where}: '{key}' must be a JSON object, "
+                             f"not {type(value).__name__}")
+        return value
+
     def bounds(self, key) -> tuple:
         """The [low, high] pair at ``key``, each checked as by ``number``."""
         pair = self[key]
@@ -264,7 +273,7 @@ def load_sellmeier(source) -> SellmeierSet:
     ``"cln_e_edwards1984"``.
     """
     raw = _read_json("sellmeier", source)
-    coefficients = raw["coefficients"]
+    coefficients = raw.object("coefficients")
     return SellmeierSet(
         name=raw["name"],
         axis=Axis(raw["axis"]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -22,9 +23,18 @@ POL_BASIS = ("HH", "HV", "VH", "VV")
 
 _SY2 = np.kron(np.array([[0.0, -1.0], [1.0, 0.0]]),
                np.array([[0.0, -1.0], [1.0, 0.0]]))   # real form of sy x sy
-_MLE_MAX_ITER = 500
+_MLE_MAX_ITER = 500       # Newton steps, barrier path and face step together
 _MLE_GAP_TOL = 1e-6       # certified log-likelihood gap [nats] to stop at
-_MLE_FRAME_FLOOR = 1e-2   # smallest eigenvalue the MLE's step metric resolves
+_MLE_T0 = 0.1             # t0 per count: the first centre lies near the start
+_MLE_T_CUT = 100.0        # cut of t per outer step: a few steps per centring
+# squared decrement per unit of t that ends a centring, and at the last t
+# the face step: centred this well, L rises from centre to centre
+_MLE_CENTERED = 1e-3
+# the face keeps an eigenvector of s along which the data curve L (in the
+# frame) more than this times t: on the support that stays finite as t
+# falls, off it it falls as t^2, and a degenerate direction in between must
+# stay for the certificate to come out tight
+_MLE_FACE_CURVATURE = 1e-3
 
 
 class Domain(str, Enum):
@@ -182,19 +192,14 @@ def mode_convert(obj, tau: float, delta_omega: float):
     """
     phase = np.exp(1j * delta_omega * tau)
     u = np.diag([1.0 + 0j, 1.0 + 0j, phase, phase])
+    if not isinstance(obj, (StateVector, DensityMatrix)):
+        raise TypeError("mode_convert handles StateVector or DensityMatrix")
+    if tuple(obj.basis_labels) != FREQ_BASIS:
+        raise BasisMismatchError("mode_convert expects frequency-bin labels "
+                                 f"{FREQ_BASIS}, got {obj.basis_labels}")
     if isinstance(obj, StateVector):
-        if tuple(obj.basis_labels) != FREQ_BASIS:
-            raise BasisMismatchError(
-                "mode_convert expects frequency-bin labels "
-                f"{FREQ_BASIS}, got {obj.basis_labels}")
         return StateVector(u @ obj.amplitudes, POL_BASIS)
-    if isinstance(obj, DensityMatrix):
-        if tuple(obj.basis_labels) != FREQ_BASIS:
-            raise BasisMismatchError(
-                "mode_convert expects frequency-bin labels "
-                f"{FREQ_BASIS}, got {obj.basis_labels}")
-        return DensityMatrix(u @ obj.elements @ u.conj().T, POL_BASIS)
-    raise TypeError("mode_convert handles StateVector or DensityMatrix")
+    return DensityMatrix(u @ obj.elements @ u.conj().T, POL_BASIS)
 
 
 # --- projective measurement settings -------------------------------------
@@ -238,7 +243,7 @@ def load_projectors(name_or_path: str = "james16") -> tuple:
     is raised.
     """
     payload = _read_json("tomography", name_or_path)
-    states = payload["states"]   # a label it lacks is a ValueError
+    states = payload.object("states")   # a label it lacks: ValueError
 
     def ket(label):
         arr = np.array([complex(re, im) for re, im in states[label]])
@@ -309,63 +314,55 @@ def simulate_counts(rho: DensityMatrix, settings, expected_total: float,
 
 # --- maximum-likelihood reconstruction -----------------------------------
 
-def _linear_inversion(pi_stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    m = pi_stack.reshape(len(pi_stack), 16)
-    x, *_ = np.linalg.lstsq(m, counts, rcond=None)
-    s = x.reshape(4, 4).T          # rows of m act as Tr(Pi rho) = vec(Pi).vec(rho^T)
-    s = 0.5 * (s + s.conj().T)
-    scale = float(np.real(np.trace(s)))
-    if scale <= 0.0:
-        return np.eye(4, dtype=complex) / 4.0
-    s = s / scale
-    w, v = np.linalg.eigh(s)
-    w = np.clip(w, 1e-6, None)
-    s = (v * w) @ v.conj().T
-    return s / np.real(np.trace(s))
+@cache
+def _hermitian_basis(r: int) -> np.ndarray:
+    """Orthonormal basis of the r x r Hermitian matrices under tr(AB):
+    e_ii, (e_ij + e_ji)/sqrt(2) for i < j, i(e_ij - e_ji)/sqrt(2) for i > j."""
+    e = np.eye(r * r).reshape(r * r, r, r) + 0j
+    i, j = np.divmod(np.arange(r * r), r)
+    e[i < j] = (e[i < j] + e[i < j].transpose(0, 2, 1)) / np.sqrt(2.0)
+    e[i > j] = 1j * (e[i > j] - e[i > j].transpose(0, 2, 1)) / np.sqrt(2.0)
+    e.flags.writeable = False    # cached: every caller shares this array
+    return e
 
 
 @dataclass(frozen=True)
 class TomographyResult:
     """Reconstruction plus diagnostics; log-likelihoods are referenced to
     the saturated model, so 0 is the ceiling and exact data reach it.
-    ``certified_gap`` bounds how far the log-likelihood lies below its
-    maximum [nats]."""
+    ``certified_gap`` bounds how far that of ``rho`` lies below the maximum
+    [nats]; ``ll_history`` holds it at the end of each barrier centring and
+    of the face step; ``n_iter`` counts Newton steps."""
 
     rho: DensityMatrix
     log_likelihood: float
     ll_history: tuple
     n_iter: int
-    converged: bool
     certified_gap: float
 
 
 def mle_tomography(data: TomographyDataset, full_output: bool = False):
-    """Poisson maximum-likelihood reconstruction by accelerated projected
-    gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)). The state is
-    labelled ``POL_BASIS``, the basis the projector settings act in.
+    """Poisson maximum-likelihood reconstruction by a barrier Newton method
+    (Boyd & Vandenberghe, *Convex Optimization*, ch. 11), labelled
+    ``POL_BASIS``, the basis the projector settings act in.
 
-    The log-likelihood sum_k c_k log mu_k - tr(G s), mu_k = tr(Pi_k s) and
-    G = sum_k Pi_k, is concave in the unnormalized state s >= 0, with
-    gradient R - G, R = sum_k (c_k / mu_k) Pi_k. A step adds
-    (2/L) S^2 (R - G) S^2, L = sum_k c_k tr(Pi_k S^2)^2 / mu_k^2 >= the
-    curvature in that metric, sets the negative eigenvalues of S^-1 s S^-1
-    to zero and rescales s to tr(G s) = n, the observed total, which
-    profiles out the flux. The frame S = (s / tr s)^(1/4), eigenvalues
-    floored at ``_MLE_FRAME_FLOOR``, is taken from the iterate at the start
-    and at each momentum restart; it shrinks the curvature spread of a
-    near-pure state from lambda_max / lambda_min to about its square root.
-    Nesterov momentum restarts when a step loses likelihood.
+    L(s) = sum_k c_k log mu_k - tr(G s), mu_k = tr(Pi_k s), G = sum_k Pi_k,
+    is concave in the unnormalized state s >= 0 and peaks at tr(G s) = n,
+    the observed total. From s = n/tr(G) I the path maximizes
+    L + t log det s from t = ``_MLE_T0`` n, cut ``_MLE_T_CUT``-fold until its
+    gap bound 4t is at most ``_MLE_GAP_TOL``. A Newton step solves for the
+    16 real coordinates of Y in s' = W (I + Y) W^H, s = W W^H, where the
+    barrier's Hessian is the identity; it is capped so that s' stays
+    positive definite and backtracked on its exact gain (``log1p``). The
+    face step takes the same steps with t = 0 on the eigenvectors that the
+    data, not the barrier, hold up, so the state lies on the face of the
+    maximum. A singular Newton system ends a phase.
 
-    At tr(G s) = n the log-likelihood lies at most
-    n (lambda_max(G^-1/2 R G^-1/2) - 1) nats below its maximum, by
-    concavity; the loop stops once that certificate is at most
-    ``_MLE_GAP_TOL``, or when a step from the iterate itself loses
-    (stationary to rounding). Near a rank-deficient maximum the last gains
-    fall below the log-likelihood's rounding while the certificate is still
-    a few 1e-6 nats, so there a step that loses only rounding is taken,
-    and recorded as no gain, if it tightens the certificate.
-    FitConvergenceError after ``_MLE_MAX_ITER`` steps; the log-likelihood
-    is referenced to the saturated model.
+    ``certified_gap``, n (lambda_max(G^-1/2 R G^-1/2) - 1) with R =
+    sum_k (c_k / mu_k) Pi_k at tr(G s) = n, bounds by concavity how far the
+    log-likelihood of the returned state lies below the maximum; it is
+    tight on the face of the maximum. FitConvergenceError after
+    ``_MLE_MAX_ITER`` Newton steps.
     """
     counts = data.counts
     n = float(counts.sum())
@@ -374,86 +371,88 @@ def mle_tomography(data: TomographyDataset, full_output: bool = False):
     pi_stack = np.stack([s.projector for s in data.settings])
     rows = pi_stack.reshape(len(pi_stack), 16).conj()
     g = pi_stack.sum(axis=0)
-    w, v = np.linalg.eigh(g)
-    g_isqrt = (v / np.sqrt(w)) @ v.conj().T
     pos = counts > 0.0
     c = counts[pos]
-    counted = pi_stack[pos].reshape(len(c), 16)
 
-    def mu_of(s):
-        return np.real(rows @ s.ravel())
+    def mu_of(w):
+        return np.real(rows @ (w @ w.conj().T).ravel())
 
-    def frame(s):
-        # S, S^-1 and S^2 for S = (s / tr s)^(1/4), eigenvalues floored
-        w, v = np.linalg.eigh(s / np.real(np.trace(s)))
-        w = np.clip(w, _MLE_FRAME_FLOOR, None) ** 0.25
-        return ((v * w) @ v.conj().T, (v / w) @ v.conj().T,
-                (v * w ** 2) @ v.conj().T)
+    def ll_of(mu):   # flux profiled out: mu scaled to sum to n
+        return float(c @ np.log(mu[pos] * (n / mu.sum()) / c))
 
-    def project(s):
-        w, v = np.linalg.eigh(s_inv @ s @ s_inv)
-        s = s_half @ ((v * np.clip(w, 0.0, None)) @ v.conj().T) @ s_half
-        return s * (n / np.real(np.vdot(g, s)))
-
-    def r_of(mu):
-        return ((c / mu[pos]) @ counted).reshape(4, 4)
-
-    def gap_of(mu):
-        r = g_isqrt @ r_of(mu) @ g_isqrt
-        return n * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
-
-    def step_from(s, mu_s):
-        # the step from s, its change of mu and its exact log-likelihood
-        # gain, both against the current iterate sigma
-        lip = float(c @ (mu_of(s2)[pos] / mu_s[pos]) ** 2)
-        cand = project(s + 2.0 / lip * s2 @ (r_of(mu_s) - g) @ s2)
-        d_mu = mu_of(cand - sigma)
+    def gain_of(mu, d_mu):   # the exact change of L from mu to mu + d_mu
         rel = d_mu[pos] / mu[pos]
         if np.any(rel <= -1.0):
-            return cand, d_mu, -np.inf
-        return cand, d_mu, float(c @ np.log1p(rel) - d_mu.sum())
+            return -np.inf
+        return float(c @ np.log1p(rel) - d_mu.sum())
 
-    def lost(gain, d_mu):
-        # a loss that shows in the recorded log-likelihood, except one
-        # within a few units of its last place that tightens the certificate
-        return ll + gain < ll and (gain < -8.0 * np.spacing(abs(ll))
-                                   or gap_of(mu + d_mu) >= gap_of(mu))
+    def newton(w, t):
+        # a damped Newton step on L + t log det s from s = W W^H: the new W,
+        # the squared decrement and the gain of L; None if the system is
+        # singular or no step along it gains
+        r = w.shape[1]
+        basis = _hermitian_basis(r)
+        mu = mu_of(w)
+        a = np.real(rows @ (w @ basis @ w.conj().T).reshape(r * r, 16).T)
+        a_pos, wt = a[pos], c / mu[pos]
+        grad = (a_pos.T @ wt - a.sum(axis=0)
+                + t * np.real(np.trace(basis, axis1=1, axis2=2)))
+        hess = (a_pos.T * (wt / mu[pos])) @ a_pos + t * np.eye(r * r)
+        try:
+            y = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return None
+        dec = float(grad @ y)
+        if not dec > 0.0:
+            return None
+        nu, u = np.linalg.eigh(np.tensordot(y, basis, axes=1))
+        d_mu = a @ y
+        alpha = 1.0 if nu[0] >= -0.99 else 0.99 / -nu[0]
+        for _ in range(40):   # backtracking as in Boyd & Vandenberghe 9.2
+            gain = gain_of(mu, alpha * d_mu)
+            if gain + t * np.log1p(alpha * nu).sum() >= 0.25 * alpha * dec:
+                return (w @ u) * np.sqrt(1.0 + alpha * nu), dec, gain
+            alpha *= 0.5
+        return None
 
-    sigma = _linear_inversion(pi_stack, counts)
-    s_half, s_inv, s2 = frame(sigma)
-    sigma = project(sigma)
-    mu = mu_of(sigma)
-    ll = float(c @ np.log(mu[pos] / c) + (n - mu.sum()))
-    history = [ll]
-    z, mu_z, prev, k = sigma, mu, sigma, 1.0
-    for it in range(1, _MLE_MAX_ITER + 1):
-        cand, d_mu, gain = step_from(z, mu_z)
-        if lost(gain, d_mu) and z is not sigma:   # restart the momentum
-            z, mu_z, k = sigma, mu, 1.0
-            s_half, s_inv, s2 = frame(sigma)
-            cand, d_mu, gain = step_from(sigma, mu)
-        if lost(gain, d_mu):
-            break                                 # stationary to rounding
-        gain = max(gain, 0.0)
-        prev, sigma, mu, ll = sigma, cand, mu + d_mu, ll + gain
-        history.append(ll)
-        if gain < _MLE_GAP_TOL and gap_of(mu) <= _MLE_GAP_TOL:
-            break
-        k_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * k * k))
-        z = sigma + (k - 1.0) / k_next * (sigma - prev)
-        k, mu_z = k_next, mu_of(z)
-        if np.any(mu_z[pos] <= 0.0):
-            z, mu_z, k = sigma, mu, 1.0
+    w = np.sqrt(n / np.real(np.trace(g))) * np.eye(4, dtype=complex)
+    t, face, gained, marks = _MLE_T0 * n, False, 0.0, []
+    for n_iter in range(1, _MLE_MAX_ITER + 1):
+        if face:   # keep the eigenvectors that the data hold up
+            u, s, _ = np.linalg.svd(w, full_matrices=False)
+            mu = mu_of(w)
+            along = np.real(np.einsum("kpq,pi,qi->ki", pi_stack[pos],
+                                      u.conj(), u)) * s ** 2 / mu[pos, None]
+            keep = c @ along ** 2 > _MLE_FACE_CURVATURE * t
+            gained += gain_of(mu, -mu_of(u[:, ~keep] * s[~keep]))
+            w = u[:, keep] * s[keep]
+        step = newton(w, 0.0 if face else t)
+        if step is not None:
+            w, dec, gain = step
+            gained += gain
+        if step is None or dec <= _MLE_CENTERED * t:   # a phase ends
+            marks.append(gained)
+            if face:
+                break
+            face = 4.0 * t <= _MLE_GAP_TOL
+            t = t if face else t / _MLE_T_CUT
     else:
         raise FitConvergenceError(
-            f"tomography did not converge in {_MLE_MAX_ITER} iterations",
-            last_iterate=sigma / np.real(np.trace(sigma)), residual=-ll)
+            f"tomography did not converge in {_MLE_MAX_ITER} Newton steps",
+            last_iterate=w @ w.conj().T / np.vdot(w, w).real,
+            residual=-ll_of(mu_of(w)))
 
-    rho = 0.5 * (sigma + sigma.conj().T)
-    rho = rho / np.real(np.trace(rho))
-    dm = DensityMatrix(rho, POL_BASIS)
-    if full_output:
-        return TomographyResult(rho=dm, log_likelihood=ll,
-                                ll_history=tuple(history), n_iter=it,
-                                converged=True, certified_gap=gap_of(mu))
-    return dm
+    sigma = w @ w.conj().T
+    rho = DensityMatrix(0.5 * (sigma + sigma.conj().T)
+                        / np.real(np.trace(sigma)), POL_BASIS)
+    if not full_output:
+        return rho
+    mu = np.real(rows @ rho.elements.ravel())
+    ll, mu = ll_of(mu), mu * (n / mu.sum())
+    w_g, v_g = np.linalg.eigh(g)
+    g_isqrt = (v_g / np.sqrt(w_g)) @ v_g.conj().T
+    r = g_isqrt @ np.einsum("k,kij->ij", c / mu[pos], pi_stack[pos]) @ g_isqrt
+    return TomographyResult(
+        rho=rho, log_likelihood=ll,
+        ll_history=tuple(ll + m - gained for m in marks), n_iter=n_iter,
+        certified_gap=n * (float(np.linalg.eigvalsh(r)[-1]) - 1.0))

@@ -195,12 +195,12 @@ def load_crystal(source) -> CrystalSpec:
                       amplitude_scale=s.number("amplitude_scale", 1.0))
         for s in raw["segments"])
     sellmeier = {Axis(axis): load_sellmeier(fname)
-                 for axis, fname in raw["sellmeier_files"].items()}
+                 for axis, fname in raw.object("sellmeier_files").items()}
     return CrystalSpec(
         segments=segments,
         temperature=raw.number("temperature_C"),
         pump_wavelength=raw.number("pump_nm") * 1e-9,
-        axis_map=raw["axis_map"],
+        axis_map=raw.object("axis_map"),
         sellmeier=sellmeier,
         pump_polarization=raw.get("pump_polarization", "V"),
         name=raw.get("name", ""),

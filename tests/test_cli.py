@@ -414,7 +414,28 @@ def test_tomo_simulate_reconstruct_closed_loop(tmp_path):
         payload["rho"]["im"])
     truth = rho_freq(0.516, 0.934, 0.0).elements
     assert np.max(np.abs(got - truth)) < 1e-4
-    assert payload["diagnostics"]["converged"] is True
+    diagnostics = payload["diagnostics"]
+    assert set(diagnostics) == {"log_likelihood", "n_iter", "certified_gap"}
+    assert diagnostics["certified_gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("setting, count", [(0, 5), (3, 1)])
+def test_tomo_reconstruct_single_nonzero_setting(tmp_path, setting, count):
+    # a rank-one maximum: no linear-algebra error may surface as exit 2
+    main(["tomo", "simulate", "--out-dir", str(tmp_path)])
+    path = tmp_path / "tomo_counts.csv"
+    lines = path.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    for k, i in enumerate(rows):
+        cells = lines[i].split(",")
+        cells[-1] = str(count if k == setting else 0)
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["tomo", "reconstruct", "--data", str(path), "--out-dir",
+               str(tmp_path)])
+    assert rc == 0
+    diagnostics = load_json(tmp_path / "tomo_rho.json")["diagnostics"]
+    assert diagnostics["certified_gap"] <= 1e-6
 
 
 def test_tomo_table1_chain(tmp_path, capsys):
@@ -630,6 +651,12 @@ def wrong_type_input(tmp_path, case):
                  "--init", init],
                 ["'init'"] + ([f"'{key}'"] if key else []))
     path = tmp_path / f"{case}.json"
+    if case == "projector_states":
+        projectors = bundled("tomography", "james16")
+        projectors["states"] = [1]
+        path.write_text(json.dumps(projectors))
+        return (["tomo", "simulate", "--projectors", str(path)],
+                [str(path), "'states'"])
     if case.startswith("rho"):
         path.write_text("[1, 2]" if case == "rho" else '{"rho": [1, 2]}')
         return (["tomo", "metrics", "--rho", str(path)],
@@ -639,7 +666,9 @@ def wrong_type_input(tmp_path, case):
         sellmeier = bundled("sellmeier", "cln_e_edwards1984")
         key, value = {"sellmeier_coefficient": ("a2", [1]),
                       "sellmeier_nan": ("a2", float("nan")),
-                      "sellmeier_range": ("valid_wavelength_um", 5)}[case]
+                      "sellmeier_range": ("valid_wavelength_um", 5),
+                      "sellmeier_coefficients": ("coefficients", [1, 2])
+                      }[case]
         (sellmeier["coefficients"] if key == "a2" else sellmeier)[key] = value
         path.write_text(json.dumps(sellmeier))
         crystal["sellmeier_files"]["extraordinary"] = str(path)
@@ -647,9 +676,9 @@ def wrong_type_input(tmp_path, case):
         crystal_path.write_text(json.dumps(crystal))
         return (["qpm", "solve", "--crystal", str(crystal_path)],
                 [str(path), f"'{key}'"])
-    if case == "segments":
-        crystal["segments"] = [1]
-        key, command = "segments", "solve"
+    if case in ("segments", "crystal_sellmeier_files", "crystal_axis_map"):
+        key, command = case.removeprefix("crystal_"), "solve"
+        crystal[key] = [1]
     else:
         crystal["pump_nm"] = "x"
         key, command = "pump_nm", case.rsplit("_", 1)[1]
@@ -661,13 +690,18 @@ def wrong_type_input(tmp_path, case):
                                   "init_str", "init_bool", "rho_value",
                                   "pump_nm_solve", "pump_nm_crossing",
                                   "init_nan", "sellmeier_coefficient",
-                                  "sellmeier_nan", "sellmeier_range"])
+                                  "sellmeier_nan", "sellmeier_range",
+                                  "sellmeier_coefficients",
+                                  "crystal_sellmeier_files",
+                                  "crystal_axis_map", "projector_states"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
     # a value of the wrong JSON type, or a NaN, is a usage error, like a
     # missing key; the *_value, pump_nm and sellmeier cases used to escape
-    # as a TypeError (exit 1), init_str and init_bool were read as the
-    # numbers 1000 and 1, and the NaNs were read as numbers
+    # as a TypeError (exit 1), sellmeier_coefficients, the crystal_* cases
+    # and projector_states as an AttributeError or TypeError (exit 1),
+    # init_str and init_bool were read as the numbers 1000 and 1, and the
+    # NaNs were read as numbers
     argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
