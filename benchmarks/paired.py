@@ -14,14 +14,20 @@ keeps the repository's metadata untouched when a run is interrupted.
 The result goes to ``BENCH_<short base sha>.json`` in ``--out-dir``: every
 run's end-to-end metrics, each metric's median and quartiles per side, the
 pairs the working tree wins on each metric (ties count for neither side),
-and the ``env`` line of every run. A run that fails or reports incorrect
-outputs is recorded with its exit status and stops the script.
+and the ``env`` line of every run, with the ``PYTHONDONTWRITEBYTECODE``
+setting the runs inherit. A run that fails or reports incorrect outputs
+is recorded with its exit status and stops the script.
+
+The export never holds a bytecode cache, so the script refuses to start
+while a ``__pycache__`` exists under the working tree's ``src/``: such a
+cache would speed up only the working tree's imports.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -96,6 +102,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    caches = sorted((ROOT / "src").rglob("__pycache__"))
+    if caches:
+        print(f"{caches[0]} exists: a bytecode cache speeds up only the "
+              "working tree's runs; remove it first", file=sys.stderr)
+        return 2
 
     base_sha = git("rev-parse", args.base)
     short = git("rev-parse", "--short", args.base)
@@ -103,6 +114,8 @@ def main(argv=None) -> int:
               "base": base_sha,
               "work": f"working tree on {git('rev-parse', 'HEAD')}",
               "dirty_files": git("status", "--porcelain").splitlines(),
+              "PYTHONDONTWRITEBYTECODE":
+                  os.environ.get("PYTHONDONTWRITEBYTECODE"),
               "pairs": []}
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out_dir / f"BENCH_{short}.json"

@@ -225,6 +225,20 @@ class _JsonObject(dict):
                              f"not {type(value).__name__}")
         return value
 
+    def pairs(self, key, name=None) -> list:
+        """The list of two-element lists at ``key``, as tuples; ValueError
+        naming the file and ``name`` (default ``key``), or the entry that is
+        no pair, otherwise."""
+        name, value = name or key, self[key]
+        if not isinstance(value, list):
+            raise ValueError(f"{self.where}: '{name}' must be a list of "
+                             "pairs")
+        for k, item in enumerate(value):
+            if not (isinstance(item, list) and len(item) == 2):
+                raise ValueError(f"{self.where}: '{name}[{k}]' must be a "
+                                 f"pair, not {item!r}")
+        return [tuple(item) for item in value]
+
     def bounds(self, key) -> tuple:
         """The [low, high] pair at ``key``, each checked as by ``number``."""
         pair = self[key]

@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .dispersion import _read_json
+from .dispersion import _number, _read_json
 from .errors import (BasisMismatchError, FitConvergenceError,
                      PhysicalityError, TomographyDataError)
 
@@ -206,13 +206,18 @@ def mode_convert(obj, tau: float, delta_omega: float):
 
 @dataclass(frozen=True)
 class ProjectorSetting:
-    """One two-qubit product projection |a>|b><a|<b|."""
+    """One two-qubit product projection |a>|b><a|<b|.
+
+    ``projector``, the 4x4 matrix |ab><ab|, is built once at construction
+    and read-only, like the kets.
+    """
 
     setting_id: str
     proj_a: str
     proj_b: str
     ket_a: np.ndarray
     ket_b: np.ndarray
+    projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("ket_a", "ket_b"):
@@ -222,11 +227,10 @@ class ProjectorSetting:
                 raise ValueError(f"{name} must be a normalized 2-vector")
             k.flags.writeable = False
             object.__setattr__(self, name, k)
-
-    @property
-    def projector(self) -> np.ndarray:
         ket = np.kron(self.ket_a, self.ket_b)
-        return np.outer(ket, ket.conj())
+        projector = np.outer(ket, ket.conj())
+        projector.flags.writeable = False
+        object.__setattr__(self, "projector", projector)
 
 
 def _completeness_rank(settings) -> int:
@@ -238,21 +242,36 @@ def load_projectors(name_or_path: str = "james16") -> tuple:
     """Projection settings from a bundled name or a JSON file path.
 
     The file lists named single-qubit kets ([re, im] pairs) and ordered
-    (a, b) label pairs. The resulting set must span the 16-dimensional
-    operator space (informational completeness) or TomographyDataError
-    is raised.
+    (a, b) label pairs; a malformed entry is a ValueError naming the file
+    and the entry (``settings[k]``, ``states.<label>``). The resulting set
+    must span the 16-dimensional operator space (informational
+    completeness) or TomographyDataError is raised.
     """
     payload = _read_json("tomography", name_or_path)
     states = payload.object("states")   # a label it lacks: ValueError
 
     def ket(label):
-        arr = np.array([complex(re, im) for re, im in states[label]])
-        return arr / np.linalg.norm(arr)
+        name = f"states.{label}"
+        what = f"{payload.where}: '{name}'"
+        amplitudes = states.pairs(label, name)
+        if len(amplitudes) != 2:
+            raise ValueError(f"{what} must hold two [re, im] pairs")
+        arr = np.array([complex(_number(re, what), _number(im, what))
+                        for re, im in amplitudes])
+        norm = np.linalg.norm(arr)
+        if norm == 0.0:
+            raise ValueError(f"{what} is the zero vector")
+        return arr / norm
 
-    settings = tuple(
-        ProjectorSetting(setting_id=f"{k + 1:02d}", proj_a=a, proj_b=b,
-                         ket_a=ket(a), ket_b=ket(b))
-        for k, (a, b) in enumerate(payload["settings"]))
+    settings = []
+    for k, (a, b) in enumerate(payload.pairs("settings")):
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ValueError(f"{payload.where}: 'settings[{k}]' must be an "
+                             f"[a, b] pair of state labels, not {[a, b]!r}")
+        settings.append(ProjectorSetting(
+            setting_id=f"{k + 1:02d}", proj_a=a, proj_b=b, ket_a=ket(a),
+            ket_b=ket(b)))
+    settings = tuple(settings)
     rank = _completeness_rank(settings)
     if rank < 16:
         raise TomographyDataError(
@@ -298,10 +317,9 @@ def simulate_counts(rho: DensityMatrix, settings, expected_total: float,
     """
     if expected_total <= 0.0:
         raise ValueError("expected_total must be > 0")
-    probs = np.array([
-        max(float(np.real(np.trace(rho.elements @ s.projector))), 0.0)
-        for s in settings])
-    means = expected_total * probs
+    pi_stack = np.stack([s.projector for s in settings])
+    probs = np.real(np.trace(rho.elements @ pi_stack, axis1=1, axis2=2))
+    means = expected_total * np.maximum(probs, 0.0)
     if rng_seed is None:
         counts = means
     else:
@@ -395,9 +413,13 @@ def mle_tomography(data: TomographyDataset, full_output: bool = False):
         mu = mu_of(w)
         a = np.real(rows @ (w @ basis @ w.conj().T).reshape(r * r, 16).T)
         a_pos, wt = a[pos], c / mu[pos]
-        grad = (a_pos.T @ wt - a.sum(axis=0)
-                + t * np.real(np.trace(basis, axis1=1, axis2=2)))
-        hess = (a_pos.T * (wt / mu[pos])) @ a_pos + t * np.eye(r * r)
+        # the barrier adds t I to the gradient, whose coordinates are t on
+        # each e_ii (indices 0, r+1, 2(r+1), ...), and t to the Hessian's
+        # diagonal
+        grad = a_pos.T @ wt - a.sum(axis=0)
+        grad[::r + 1] += t
+        hess = (a_pos.T * (wt / mu[pos])) @ a_pos
+        hess.flat[::r * r + 1] += t
         try:
             y = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -405,7 +427,7 @@ def mle_tomography(data: TomographyDataset, full_output: bool = False):
         dec = float(grad @ y)
         if not dec > 0.0:
             return None
-        nu, u = np.linalg.eigh(np.tensordot(y, basis, axes=1))
+        nu, u = np.linalg.eigh((y @ basis.reshape(r * r, r * r)).reshape(r, r))
         d_mu = a @ y
         alpha = 1.0 if nu[0] >= -0.99 else 0.99 / -nu[0]
         for _ in range(40):   # backtracking as in Boyd & Vandenberghe 9.2

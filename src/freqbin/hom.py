@@ -216,11 +216,19 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
     of the beat power above the Poisson noise, and one weighted linear fit
     gives N, V, the fringe phase and a first-order shift of that centre;
     tau_offset is the dip of that phase nearest the shifted centre.
-    A dict ``init`` overrides it entry by entry. Raises FitConvergenceError
-    (carrying the last iterate) after ``_MAX_ITER`` iterations without the
-    relative step falling below tolerance or when J^T J at the optimum is
-    singular, and up front for a scan of no more points than parameters
-    or with beat power above the noise at fewer than two delays.
+    A dict ``init`` overrides it entry by entry. Each iteration evaluates
+    the Jacobian once and the model once per trial step: the accepted
+    trial's residual is the next iteration's.
+
+    Flags: ``V_clipped`` when V left [0, 1]; ``delta_omega_unidentifiable``
+    and ``envelope_unidentifiable`` (tau_c and tau_offset) when V lies
+    within two standard errors of 0 or below 0.02.
+
+    Raises FitConvergenceError (carrying the last iterate) after
+    ``_MAX_ITER`` iterations without the relative step falling below
+    tolerance or when J^T J at the optimum is singular, and up front for a
+    scan of no more points than parameters or with beat power above the
+    noise at fewer than two delays.
     """
     if len(scan.delays) <= len(_PARAM_NAMES):
         raise FitConvergenceError(
@@ -243,24 +251,20 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
                       for k, v in init.items()})
     theta = np.array([guess[k] for k in _PARAM_NAMES])
 
-    def model(th):
-        return homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4])
+    def residual(th):
+        return (homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4]) - c) * w
 
     def jac(th):
         return homi_jac(d, th[0], th[1], th[2], abs(th[3]), th[4])
 
-    def chi2(th):
-        r = (model(th) - c) * w
-        return float(r @ r)
-
-    cost = chi2(theta)
+    r = residual(theta)
+    cost = float(r @ r)
     lam = 1e-3
     scale = np.maximum(np.abs(theta), [1.0, 0.1, 1e11, 1e-13, 1e-14])
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
         j = jac(theta) * w[:, None]
-        r = (model(theta) - c) * w
         g = j.T @ r
         h = j.T @ j
         stepped = False
@@ -271,11 +275,11 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            new_cost = chi2(theta + delta)
+            r_new = residual(theta + delta)
+            new_cost = float(r_new @ r_new)
             if new_cost <= cost:
                 gained = cost - new_cost
-                theta = theta + delta
-                cost = new_cost
+                theta, r, cost = theta + delta, r_new, new_cost
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True
                 break
@@ -317,7 +321,8 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
                                   "does not determine all five parameters",
                                   **last)
     if theta[1] < max(2.0 * np.sqrt(abs(cov[1, 1])), 0.02):
-        flags.append("delta_omega_unidentifiable")
+        # no resolved beat: its envelope is as unidentified as its frequency
+        flags += ["delta_omega_unidentifiable", "envelope_unidentifiable"]
 
     return HomFit(N=float(theta[0]), V=float(theta[1]),
                   delta_omega=float(theta[2]), tau_c=float(theta[3]),

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freqbin.entanglement import (FREQ_BASIS, POL_BASIS, DensityMatrix,
-                                  Domain, StateVector, TomographyDataset,
-                                  TomographyResult, concurrence, fidelity,
-                                  ideal_state, load_projectors,
-                                  mle_tomography, mode_convert, rho_freq,
-                                  simulate_counts, trace_distance)
+                                  Domain, ProjectorSetting, StateVector,
+                                  TomographyDataset, TomographyResult,
+                                  concurrence, fidelity, ideal_state,
+                                  load_projectors, mle_tomography,
+                                  mode_convert, rho_freq, simulate_counts,
+                                  trace_distance)
 from freqbin.errors import (BasisMismatchError, FitConvergenceError,
                             PhysicalityError, TomographyDataError)
 
@@ -231,6 +232,20 @@ def test_load_projectors_bundled():
         assert np.trace(pi).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_projector_is_stored_read_only():
+    for s in load_projectors("james16"):
+        ket = np.kron(s.ket_a, s.ket_b)
+        assert np.array_equal(s.projector, np.outer(ket, ket.conj()))
+        assert not s.projector.flags.writeable
+        with pytest.raises(ValueError):
+            s.projector[0, 0] = 0.0
+
+
+def test_projector_setting_rejects_unnormalized_ket():
+    with pytest.raises(ValueError, match="ket_b"):
+        ProjectorSetting("01", "h", "x", ket_a=[1.0, 0.0], ket_b=[1.0, 1.0])
+
+
 def test_load_projectors_incomplete(tmp_path):
     payload = {"states": {"h": [[1.0, 0.0], [0.0, 0.0]]},
                "settings": [["h", "h"]] * 16}
@@ -280,6 +295,17 @@ def test_simulate_counts_means_and_seeds():
 
     with pytest.raises(ValueError):
         simulate_counts(hv, settings, 0.0, rng_seed=None)
+
+
+def test_noiseless_counts_are_the_traces():
+    settings = load_projectors("james16")
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rho = random_rho(rng, POL_BASIS)
+        want = [2500.0 * np.trace(rho.elements @ s.projector).real
+                for s in settings]
+        got = simulate_counts(rho, settings, 2500.0, rng_seed=None).counts
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 # --- maximum-likelihood reconstruction --------------------------------------

@@ -184,6 +184,7 @@ def test_fit_flags_featureless_scan():
     scan = synthesize_scan(flat, DELAYS, 2000, rng_seed=5)
     fit = fit_homi(scan)
     assert "delta_omega_unidentifiable" in fit.flags
+    assert "envelope_unidentifiable" in fit.flags
     assert fit.V < 0.1
 
 
