@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import Polarization, group_index
+from . import dispersion
+from .dispersion import Polarization
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
 from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _bracketed_root,
@@ -131,10 +132,14 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
 def _group_index_mismatch(spec, point):
     """|n_g,i - n_g,s| of a solved pair: the daughters' group-velocity
     mismatch, which sets the sinc lobe width and the walk-off delay."""
-    ng_s = group_index(spec.field(point.signal_wavelength, point.signal_pol),
-                       spec.sellmeier_for(point.signal_pol))
-    ng_i = group_index(spec.field(point.idler_wavelength, point.idler_pol),
-                       spec.sellmeier_for(point.idler_pol))
+    # looked up in dispersion at each call, so that a wrapper set there and
+    # removed again (a span tracer's) is never kept in this module
+    ng_s = dispersion.group_index(
+        spec.field(point.signal_wavelength, point.signal_pol),
+        spec.sellmeier_for(point.signal_pol))
+    ng_i = dispersion.group_index(
+        spec.field(point.idler_wavelength, point.idler_pol),
+        spec.sellmeier_for(point.idler_pol))
     return abs(ng_i - ng_s)
 
 
@@ -144,8 +149,11 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
 
     The grid is built symmetric about omega_p/2 (including the midpoint),
     spanning every segment's phase-matched peak plus ``lobes`` sinc lobes of
-    margin, with at least 20 points per main lobe enforced.
+    margin, with at least 20 points per main lobe enforced. ``lobes``
+    must be positive: a margin at or below zero would cut into the peaks.
     """
+    if not lobes > 0.0:
+        raise ValueError(f"lobes must be positive, not {lobes}")
     points = _solved(_solve_rows(spec, range(len(spec.segments)),
                                  spec.temperature, spec.pump_wavelength))
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength

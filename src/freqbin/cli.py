@@ -5,34 +5,25 @@ output file embeds tool version, resolved configuration, rng seed, and
 timestamp, so a rerun with the same seed is byte-identical apart from the
 timestamp (which ``--timestamp`` can pin). Exit codes: 0 success,
 1 numerical failure, 2 usage or configuration error.
+
+Each handler imports the library layers it runs, so a process loads only
+its subcommand's layers; ``--version``, ``--help`` and usage errors load
+no numpy.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .biphoton import joint_spectrum, reduce_to_bins
-from .dispersion import Polarization, _parse_json
-from .entanglement import (Domain, DensityMatrix, concurrence, fidelity,
-                           ideal_state, load_projectors, mle_tomography,
-                           mode_convert, rho_freq, simulate_counts,
-                           TomographyDataset)
 from .errors import (BinReductionError, BranchAmbiguityError,
                      FitConvergenceError, GridResolutionError,
                      NoPhaseMatchError, PhysicalityError, TomographyDataError)
-from .hom import (HomParams, HomScan, _poisson_sigma, fit_homi, homi_rate,
-                  synthesize_scan)
-from .qpm import (C_M_PER_S, TWO_PI, Branch, CrystalSpec, PhaseMatchPoint,
-                  crossing_temperature, load_crystal, solve_period,
-                  solve_signal_idler, tuning_curve)
 
 # PhysicalityError is also a ValueError, so this tuple is tested first
 _NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
@@ -100,14 +91,17 @@ def _read_columns(path, names, what: str) -> list:
     return [[r[header.index(name)] for r in rows] for name in names]
 
 
-def _load_spec(args) -> CrystalSpec:
+def _load_spec(args):
+    """The crystal of ``--crystal``, at ``--t-c`` where it is given."""
+    from dataclasses import replace
+    from .qpm import load_crystal
     spec = load_crystal(args.crystal or "default")
     if getattr(args, "t_c", None) is not None:
         spec = replace(spec, temperature=float(args.t_c))
     return spec
 
 
-def _point(spec: CrystalSpec, j: int, pt: PhaseMatchPoint) -> dict:
+def _point(spec, j: int, pt) -> dict:
     """The record of segment j's solved pair, in the CSV column order."""
     return {"period_um": spec.segments[j].period * 1e6,
             "lambda_s_nm": pt.signal_wavelength * 1e9,
@@ -120,6 +114,7 @@ def _point(spec: CrystalSpec, j: int, pt: PhaseMatchPoint) -> dict:
 # --- qpm ------------------------------------------------------------------
 
 def cmd_qpm_solve(args) -> int:
+    from .qpm import solve_signal_idler
     spec = _load_spec(args)
     segments = ([int(args.segment)] if args.segment is not None
                 else list(range(len(spec.segments))))
@@ -143,6 +138,9 @@ def cmd_qpm_solve(args) -> int:
 
 
 def cmd_qpm_period(args) -> int:
+    from dataclasses import replace
+    from .dispersion import Polarization
+    from .qpm import PhaseMatchPoint, solve_period
     spec = _load_spec(args)
     lam_s, lam_i = args.signal_nm * 1e-9, args.idler_nm * 1e-9
     lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)   # pump slaved to conservation
@@ -162,6 +160,7 @@ def cmd_qpm_period(args) -> int:
 
 
 def cmd_qpm_tune(args) -> int:
+    from .qpm import tuning_curve
     spec = _load_spec(args)
     if (args.t_from_c is None) == (args.pump_from_nm is None):
         raise ValueError(
@@ -193,11 +192,13 @@ def cmd_qpm_tune(args) -> int:
 
 
 def cmd_qpm_crossing(args) -> int:
+    from dataclasses import replace
+    from .qpm import crossing_temperature, solve_signal_idler
     spec = _load_spec(args)
     t_star = crossing_temperature(spec, (args.t_lo_c, args.t_hi_c))
     at = replace(spec, temperature=t_star)
     pts = [solve_signal_idler(at, j) for j in range(2)]
-    dw = abs(pts[0].delta_omega) / (TWO_PI * 1e12)
+    dw = abs(pts[0].delta_omega) / (math.tau * 1e12)
     print(f"crossing temperature {t_star:.6f} C; common pair "
           f"{pts[0].signal_wavelength*1e9:.3f} / "
           f"{pts[0].idler_wavelength*1e9:.3f} nm, splitting {dw:.4f} THz")
@@ -212,24 +213,26 @@ def cmd_qpm_crossing(args) -> int:
 # --- spectrum -------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    from .biphoton import joint_spectrum, reduce_to_bins
+    from .qpm import C_M_PER_S
     spec = _load_spec(args)
     sa = joint_spectrum(spec, n_points=int(args.points),
                         lobes=float(args.lobes))
     _write(args, "spectrum_jsa.csv",
            header="omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity",
-           rows=[(w, TWO_PI * C_M_PER_S / w * 1e9, t.real, t.imag,
+           rows=[(w, math.tau * C_M_PER_S / w * 1e9, t.real, t.imag,
                   abs(t) ** 2) for w, t in zip(sa.omega, sa.total)])
 
     if len(spec.segments) == 2:
         st = reduce_to_bins(sa, spec)
         state = {"p": st.p, "V": st.V, "phi_rad": st.phi,
                  "delta_omega_rad_s": st.delta_omega,
-                 "delta_omega_thz": st.delta_omega / (TWO_PI * 1e12),
+                 "delta_omega_thz": st.delta_omega / (math.tau * 1e12),
                  "tau_c_s": st.tau_c, "tau_c_ps": st.tau_c * 1e12,
                  "bin_centers_rad_s": list(st.bin_centers),
                  "compensation_delay_s": st.compensation_delay, "flags": []}
         print(f"p = {st.p:.6f}, V = {st.V:.6f}, phi = {st.phi:.6f} rad, "
-              f"splitting {st.delta_omega/(TWO_PI*1e12):.4f} THz, "
+              f"splitting {st.delta_omega/(math.tau*1e12):.4f} THz, "
               f"tau_c {st.tau_c*1e12:.4f} ps")
     else:
         state = {"p": None, "V": None, "phi_rad": None,
@@ -246,13 +249,16 @@ def cmd_spectrum(args) -> int:
 
 def _hom(args):
     """The beat-model parameters and the delay grid of the HOM options."""
-    params = HomParams(args.n, args.v, TWO_PI * args.dw_thz * 1e12,
+    import numpy as np
+    from .hom import HomParams
+    params = HomParams(args.n, args.v, math.tau * args.dw_thz * 1e12,
                        args.tauc_ps * 1e-12, args.tau0_fs * 1e-15)
     r = args.range_ps * 1e-12
     return params, np.linspace(-r, r, args.points)
 
 
 def cmd_hom_model(args) -> int:
+    from .hom import homi_rate
     params, taus = _hom(args)
     vals = homi_rate(params, taus)
     print(f"model curve: {len(taus)} points, I(0)/N = "
@@ -263,6 +269,7 @@ def cmd_hom_model(args) -> int:
 
 
 def cmd_hom_synth(args) -> int:
+    from .hom import synthesize_scan
     params, taus = _hom(args)
     scan = synthesize_scan(params, taus, args.pairs, args.seed)
     print(f"synthesized {len(taus)} points at ~{args.pairs:g} pairs/point "
@@ -274,6 +281,8 @@ def cmd_hom_synth(args) -> int:
 
 
 def cmd_hom_fit(args) -> int:
+    import numpy as np
+    from .hom import HomScan, _poisson_sigma, fit_homi
     taus, counts, sigma = (np.array([float(c) for c in col]) for col in
                            _read_columns(args.scan, ("tau_fs", "counts",
                                                      "sigma"), "scan file"))
@@ -283,11 +292,11 @@ def cmd_hom_fit(args) -> int:
     fit = fit_homi(scan, init=json.loads(args.init) if args.init else None)
     se = fit.stderr
     print(f"V = {fit.V:.6f} +- {se['V']:.6f}, "
-          f"dw/2pi = {fit.delta_omega/(TWO_PI*1e12):.6f} THz, "
+          f"dw/2pi = {fit.delta_omega/(math.tau*1e12):.6f} THz, "
           f"tau_c = {fit.tau_c*1e12:.6f} ps, flags = {list(fit.flags)}")
     _write(args, "hom_fit.json", {"fit": {
         "N": fit.N, "V": fit.V, "delta_omega_rad_s": fit.delta_omega,
-        "delta_omega_thz": fit.delta_omega / (TWO_PI * 1e12),
+        "delta_omega_thz": fit.delta_omega / (math.tau * 1e12),
         "tau_c_s": fit.tau_c, "tau_c_ps": fit.tau_c * 1e12,
         "tau_offset_s": fit.tau_offset,
         "stderr": {k: float(v) for k, v in se.items()},
@@ -299,7 +308,11 @@ def cmd_hom_fit(args) -> int:
 
 # --- tomo -----------------------------------------------------------------
 
-def _rho_from_args(args) -> DensityMatrix:
+def _rho_from_args(args):
+    """The state of ``--rho``, else of ``--p/--v/--phi``, mode-converted
+    by ``--tau-fs`` where it is given."""
+    from .dispersion import _parse_json
+    from .entanglement import DensityMatrix, mode_convert, rho_freq
     if args.rho:
         path = Path(args.rho)
         if not path.exists():
@@ -313,11 +326,12 @@ def _rho_from_args(args) -> DensityMatrix:
     rho = rho_freq(float(args.p), float(args.v), float(args.phi))
     if args.tau_fs is not None:
         rho = mode_convert(rho, float(args.tau_fs) * 1e-15,
-                           TWO_PI * float(args.dw_thz) * 1e12)
+                           math.tau * float(args.dw_thz) * 1e12)
     return rho
 
 
 def cmd_tomo_simulate(args) -> int:
+    from .entanglement import load_projectors, simulate_counts
     rho = _rho_from_args(args)
     settings = load_projectors(args.projectors)
     seed = None if args.seed is None else int(args.seed)
@@ -332,6 +346,9 @@ def cmd_tomo_simulate(args) -> int:
 
 
 def cmd_tomo_reconstruct(args) -> int:
+    import numpy as np
+    from .entanglement import (TomographyDataset, load_projectors,
+                               mle_tomography)
     proj_a, proj_b, counts = _read_columns(
         args.data, ("proj_a", "proj_b", "counts"), "dataset")
     settings = load_projectors(args.projectors)
@@ -357,6 +374,7 @@ def cmd_tomo_reconstruct(args) -> int:
 
 
 def cmd_tomo_metrics(args) -> int:
+    from .entanglement import Domain, concurrence, fidelity, ideal_state
     rho = _rho_from_args(args)
     phi_t = float(args.target_phi)
     domain = (Domain.POLARIZATION if tuple(rho.basis_labels)[0] == "HH"
@@ -372,16 +390,17 @@ def cmd_tomo_metrics(args) -> int:
 
 
 def cmd_tomo_convert(args) -> int:
-    dw = TWO_PI * float(args.dw_thz) * 1e12
+    dw = math.tau * float(args.dw_thz) * 1e12
     tau = float(args.tau_fs) * 1e-15
-    phase = float(np.mod(dw * tau, TWO_PI))
+    phase = (dw * tau) % math.tau
     print(f"phase delta_omega*tau = {phase:.6f} rad = "
-          f"{phase/np.pi:.4f} pi (mod 2 pi)")
+          f"{phase/math.pi:.4f} pi (mod 2 pi)")
     payload = {"conversion": {"tau_fs": float(args.tau_fs),
                               "delta_omega_thz": float(args.dw_thz),
                               "phase_rad": phase,
-                              "phase_over_pi": phase / np.pi}}
+                              "phase_over_pi": phase / math.pi}}
     if args.rho:
+        from .entanglement import mode_convert
         payload["rho"] = mode_convert(_rho_from_args(args), tau,
                                       dw).to_json_dict()
     _write(args, "tomo_convert.json", payload)
@@ -389,7 +408,11 @@ def cmd_tomo_convert(args) -> int:
 
 
 def cmd_tomo_table1(args) -> int:
-    dw = TWO_PI * args.dw_thz * 1e12
+    from .entanglement import (Domain, concurrence, fidelity, ideal_state,
+                               load_projectors, mle_tomography, mode_convert,
+                               rho_freq, simulate_counts)
+    from .hom import HomParams, homi_rate
+    dw = math.tau * args.dw_thz * 1e12
     taus_fs = [float(t) for t in args.taus_fs.split(",")]
     settings = load_projectors(args.projectors)
     rho_f = rho_freq(args.p, args.v, 0.0)
@@ -398,7 +421,7 @@ def cmd_tomo_table1(args) -> int:
     for k, tau_fs in enumerate(taus_fs):
         tau = tau_fs * 1e-15
         i_over_n = homi_rate(beat, tau)
-        phi = float(np.mod(dw * tau, TWO_PI))
+        phi = (dw * tau) % math.tau
         rho_p = mode_convert(rho_f, tau, dw)
         f_model = fidelity(rho_p, ideal_state(phi, Domain.POLARIZATION))
         c_model = concurrence(rho_p)
@@ -407,10 +430,10 @@ def cmd_tomo_table1(args) -> int:
         rec = mle_tomography(data)
         f_mle = fidelity(rec, ideal_state(phi, Domain.POLARIZATION))
         c_mle = concurrence(rec)
-        rows.append((tau_fs, i_over_n, phi / np.pi, f_model, c_model, f_mle,
+        rows.append((tau_fs, i_over_n, phi / math.pi, f_model, c_model, f_mle,
                      c_mle))
         print(f"tau = {tau_fs:7.1f} fs: I/N = {i_over_n:.4f}, "
-              f"phi = {phi/np.pi:.4f} pi, F = {f_model:.4f}, "
+              f"phi = {phi/math.pi:.4f} pi, F = {f_model:.4f}, "
               f"C = {c_model:.4f} (MLE: F = {f_mle:.4f}, C = {c_mle:.4f})")
     _write(args, "tomo_table1.csv", rows=rows, seed=args.seed,
            header="tau_fs,i_over_n,phi_over_pi,fidelity,concurrence,"
@@ -436,7 +459,7 @@ _CRYSTAL = _opt("--crystal", help="crystal config: bundled name or JSON "
                                   "path (default: bundled 'default')")
 _T_C = _opt("--t-c", type=float, help="override crystal temperature [degC]")
 _SIGNAL_POL = _opt("--signal-pol", default="H", choices=("H", "V"))
-_BRANCH = _opt("--branch", choices=tuple(b.value for b in Branch))
+_BRANCH = _opt("--branch", choices=("signal_short", "signal_long"))
 _PROJECTORS = _opt("--projectors", default="james16")
 _EXPECTED_TOTAL = _opt("--expected-total", type=float, default=4000.0,
                        help="flux scale: mean counts of one full-basis "
@@ -570,6 +593,7 @@ def _with_config(ap, argv) -> list:
     path = Path(config)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
+    from .dispersion import _parse_json
     payload = _parse_json(path.read_text(), path)
     parser, k = ap, 0          # follow the command words to the subcommand
     while k < len(argv) and argv[k] in _subparsers(parser):
@@ -608,7 +632,7 @@ def main(argv=None) -> int:
             return 2
         error_json = args.error_json
         for dest, value in vars(args).items():
-            if isinstance(value, float) and not np.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{dest.replace('_', '-')} must be "
                                  f"finite, not {value}")
         return args.func(args)

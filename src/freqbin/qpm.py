@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dispersion
 from .dispersion import (Axis, OpticalField, Polarization, SellmeierSet,
-                         _read_json, load_sellmeier, wavenumber)
+                         _read_json, wavenumber)
 from .errors import (BranchAmbiguityError, NoPhaseMatchError,
                      TemperatureRangeError, WavelengthRangeError)
 
@@ -194,7 +195,8 @@ def load_crystal(source) -> CrystalSpec:
                       length=s.number("length_mm") * 1e-3,
                       amplitude_scale=s.number("amplitude_scale", 1.0))
         for s in raw["segments"])
-    sellmeier = {Axis(axis): load_sellmeier(fname)
+    # looked up in dispersion at each call, as biphoton looks up group_index
+    sellmeier = {Axis(axis): dispersion.load_sellmeier(fname)
                  for axis, fname in raw.object("sellmeier_files").items()}
     return CrystalSpec(
         segments=segments,
@@ -353,6 +355,11 @@ def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
     ``_bracketed_root``, so each row repeats a one-row solve's arithmetic
     bit for bit.
     """
+    n_seg = len(spec.segments)
+    for j in np.ravel(segments):
+        if not 0 <= j < n_seg:
+            raise ValueError(f"segment index {j} is out of range: the "
+                             f"crystal has {n_seg} segment(s), 0..{n_seg - 1}")
     signal_pol = Polarization(signal_pol)
     sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
                                           signal_pol, signal_pol.other)))

@@ -81,6 +81,13 @@ def test_grid_resolution_error(default_spec):
         joint_spectrum(default_spec, n_points=33)
 
 
+@pytest.mark.parametrize("lobes", [0.0, -1.0, float("nan")])
+def test_joint_spectrum_rejects_nonpositive_lobes(default_spec, lobes):
+    # a margin at or below zero would cut the grid into the peaks
+    with pytest.raises(ValueError, match="lobes must be positive"):
+        joint_spectrum(default_spec, lobes=lobes)
+
+
 def test_single_segment_bandwidth(default_spec):
     single = dataclasses.replace(default_spec,
                                  segments=(default_spec.segments[0],))

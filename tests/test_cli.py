@@ -14,6 +14,7 @@ import pytest
 from freqbin.cli import _build_parser, main
 from freqbin.entanglement import rho_freq
 from freqbin.hom import HomParams, synthesize_scan
+from freqbin.qpm import Branch
 
 PAIR_120 = {0: (1504.3894, 1598.4627), 1: (1592.7616, 1509.4744)}
 
@@ -112,6 +113,22 @@ def test_qpm_tune_requires_exactly_one_sweep(tmp_path):
     assert main(["qpm", "tune", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["qpm", "solve", "--segment", "5"],
+    ["qpm", "solve", "--segment", "-1"],
+    ["qpm", "tune", "--segment", "7", "--t-from-c", "110", "--t-to-c", "130"],
+])
+def test_segment_out_of_range_is_usage_error(tmp_path, capsys, argv):
+    # -1 used to pick the last grating silently, 5 and 7 to raise IndexError
+    rc = main([*argv, "--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"segment index {argv[3]} " in err["message"]
+    assert "2 segment(s)" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_qpm_crossing(tmp_path):
     rc = main(["qpm", "crossing", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -170,6 +187,14 @@ def test_spectrum_outputs(tmp_path, capsys):
     w = np.array([float(r[0]) for r in rows])
     inten = np.array([float(r[4]) for r in rows])
     assert np.trapezoid(inten, w) == pytest.approx(1.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("lobes", ["-1", "0"])
+def test_spectrum_nonpositive_lobes_is_usage_error(tmp_path, capsys, lobes):
+    rc = main(["spectrum", "--lobes", lobes, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "lobes must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_spectrum_single_process_flag(tmp_path, capsys):
@@ -884,3 +909,11 @@ def test_subcommand_options_unchanged(command):
            for a in parsers[command]._actions
            if not isinstance(a, argparse._HelpAction)}
     assert got == {**OPTIONS[command], **COMMON_OPTIONS}
+
+
+def test_branch_choices_are_the_branch_values():
+    # the parser spells the choices out, so that building it loads no qpm
+    parsers = _subcommands(_build_parser())
+    for command in ("qpm solve", "qpm tune"):
+        branch, = (a for a in parsers[command]._actions if a.dest == "branch")
+        assert tuple(branch.choices) == tuple(b.value for b in Branch)

@@ -149,6 +149,15 @@ def test_no_root_reports_mismatch_span(const_crystal):
     assert exc.value.dk_max < 0.0     # mismatch negative across the bracket
 
 
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_segment_index_out_of_range_is_rejected(default_spec, index):
+    # -1 would silently pick the last grating; 2 and 5 index past the end
+    with pytest.raises(ValueError, match=rf"segment index {index} .* 2 "):
+        solve_signal_idler(default_spec, index)
+    with pytest.raises(ValueError, match=rf"segment index {index} "):
+        tuning_curve(default_spec, index, steps=3)
+
+
 def test_solve_period_impossible_sign(const_crystal):
     # pump on the low-index axis: k_p - k_s - k_i = -2 pi (n_o-n_e)/lam_s < 0
     spec = dataclasses.replace(const_crystal, pump_polarization="H")
