@@ -151,9 +151,12 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     spanning every segment's phase-matched peak plus ``lobes`` sinc lobes of
     margin, with at least 20 points per main lobe enforced. ``lobes``
     must be positive: a margin at or below zero would cut into the peaks.
+    ``n_points`` must be at least 17; an even count gives one point more.
     """
     if not lobes > 0.0:
         raise ValueError(f"lobes must be positive, not {lobes}")
+    if not n_points >= 17:
+        raise ValueError(f"n_points must be at least 17, not {n_points}")
     points = _solved(_solve_rows(spec, range(len(spec.segments)),
                                  spec.temperature, spec.pump_wavelength))
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
@@ -166,7 +169,7 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     half_span = max(abs(c - 0.5 * omega_p) + lobes * lw
                     for c, lw in zip(centers, lobe_w))
 
-    m = max(int(n_points) // 2, 8)
+    m = int(n_points) // 2
     dx = half_span / m
     min_lobe = min(lobe_w)
     if min_lobe / dx < 20.0:

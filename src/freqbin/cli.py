@@ -282,13 +282,11 @@ def cmd_hom_synth(args) -> int:
 
 def cmd_hom_fit(args) -> int:
     import numpy as np
-    from .hom import HomScan, _poisson_sigma, fit_homi
-    taus, counts, sigma = (np.array([float(c) for c in col]) for col in
-                           _read_columns(args.scan, ("tau_fs", "counts",
-                                                     "sigma"), "scan file"))
-    if np.all(sigma <= 0.0):
-        sigma = _poisson_sigma(counts)
-    scan = HomScan(delays=taus * 1e-15, counts=counts, uncertainties=sigma)
+    from .hom import HomScan, fit_homi
+    taus, counts = (np.array([float(c) for c in col]) for col in
+                    _read_columns(args.scan, ("tau_fs", "counts"),
+                                  "scan file"))
+    scan = HomScan(delays=taus * 1e-15, counts=counts)
     fit = fit_homi(scan, init=json.loads(args.init) if args.init else None)
     se = fit.stderr
     print(f"V = {fit.V:.6f} +- {se['V']:.6f}, "
@@ -318,12 +316,10 @@ def _rho_from_args(args):
         if not path.exists():
             raise FileNotFoundError(f"no such file: {path}")
         payload = _parse_json(path.read_text(), path)
-        rho = payload.get("rho", payload)
-        if not isinstance(rho, dict):
-            raise ValueError(f"{path}: 'rho' must be a JSON object, not "
-                             f"{type(rho).__name__}")
-        return DensityMatrix.from_json_dict(rho)
-    rho = rho_freq(float(args.p), float(args.v), float(args.phi))
+        rho = DensityMatrix.from_json_dict(
+            payload.object("rho") if "rho" in payload else payload)
+    else:
+        rho = rho_freq(float(args.p), float(args.v), float(args.phi))
     if args.tau_fs is not None:
         rho = mode_convert(rho, float(args.tau_fs) * 1e-15,
                            math.tau * float(args.dw_thz) * 1e12)
@@ -400,9 +396,7 @@ def cmd_tomo_convert(args) -> int:
                               "phase_rad": phase,
                               "phase_over_pi": phase / math.pi}}
     if args.rho:
-        from .entanglement import mode_convert
-        payload["rho"] = mode_convert(_rho_from_args(args), tau,
-                                      dw).to_json_dict()
+        payload["rho"] = _rho_from_args(args).to_json_dict()
     _write(args, "tomo_convert.json", payload)
     return 0
 
@@ -543,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
              *_HOM, _opt("--pairs", type=float, default=2000.0,
                          help="expected pairs per point at baseline"),
              _opt("--seed", type=int, default=0))
-    _command(hsub, "fit", cmd_hom_fit, "fit a scan CSV (tau_fs,counts,sigma)",
+    _command(hsub, "fit", cmd_hom_fit, "fit a scan CSV (tau_fs,counts)",
              _opt("--scan", required=True, help="scan CSV path"),
              _opt("--init", help='JSON dict of starting values, e.g. '
                                  '\'{"delta_omega": 7e13}\''))

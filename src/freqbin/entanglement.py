@@ -94,9 +94,25 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
-        m = np.asarray(payload["re"], dtype=float) \
-            + 1j * np.asarray(payload["im"], dtype=float)
-        return cls(elements=m, basis_labels=tuple(payload["basis"]))
+        """The matrix of a ``to_json_dict`` mapping; ValueError naming the
+        key (and the file, for a parsed one) unless ``basis`` is a list of
+        four strings and ``re`` and ``im`` are 4x4 arrays of numbers."""
+        where = getattr(payload, "where", "density matrix")
+        parts = {}
+        for key, shape, kind, what in (
+                ("basis", (4,), str, "a list of four strings"),
+                ("re", (4, 4), (int, float), "a 4x4 array of numbers"),
+                ("im", (4, 4), (int, float), "a 4x4 array of numbers")):
+            a = np.array(payload[key], dtype=object)
+            if a.shape != shape or not all(
+                    isinstance(x, kind) and not isinstance(x, bool)
+                    for x in a.flat):
+                raise ValueError(f"{where}: '{key}' must be {what}, not "
+                                 f"{payload[key]!r}")
+            parts[key] = a
+        return cls(elements=parts["re"].astype(float)
+                   + 1j * parts["im"].astype(float),
+                   basis_labels=tuple(parts["basis"]))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ splitting under a triangular envelope:
            =  N/2                                                  otherwise,
 
 with u = tau - tau_offset. ``homi_curve`` and ``homi_jac`` evaluate it and
-its analytic Jacobian, looping over the delays. The fitter is a damped
-Gauss-Newton (Levenberg-Marquardt) weighted least-squares over all five
-parameters; a sigma that is not positive counts as sqrt(max(count, 1)).
+its analytic Jacobian, looping over the delays. The fitter maximizes the
+Poisson likelihood of the counts over all five parameters by damped Fisher
+scoring (Levenberg-Marquardt), the noise model of ``mle_tomography`` too.
 Its start needs no prior: a spectral peak, two moments and one linear solve.
 """
 from __future__ import annotations
@@ -50,17 +50,19 @@ class HomParams:
 
 @dataclass(frozen=True)
 class HomScan:
-    """A sampled delay scan: delays [s], counts, Poisson uncertainties."""
+    """A sampled delay scan: delays [s], counts, and uncertainties that the
+    fit does not read (by default the Poisson sqrt(max(count, 1)))."""
 
     delays: np.ndarray
     counts: np.ndarray
-    uncertainties: np.ndarray
+    uncertainties: np.ndarray | None = None
     acquisition: dict = field(default_factory=dict)
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=float)
         c = np.asarray(self.counts, dtype=float)
-        s = np.asarray(self.uncertainties, dtype=float)
+        s = (np.sqrt(np.maximum(c, 1.0)) if self.uncertainties is None
+             else np.asarray(self.uncertainties, dtype=float))
         if not (len(d) == len(c) == len(s)):
             raise ValueError("delays/counts/uncertainties length mismatch")
         for name, a in (("delays", d), ("counts", c), ("uncertainties", s)):
@@ -79,7 +81,8 @@ class HomScan:
 
 @dataclass(frozen=True)
 class HomFit:
-    """Fit result: parameters, 5x5 covariance, weighted residual norm."""
+    """Fit result: parameters, 5x5 covariance (the inverse Fisher
+    information) and ``residual_norm``, the root of the Poisson deviance."""
 
     N: float
     V: float
@@ -108,15 +111,13 @@ def homi_curve(tau, n_rate, vis, dw, tau_c, tau0):
     I(tau) = (N/2) * (1 - V*cos(dw*u)*(1 - |u|/tau_c)) for |u| <= tau_c,
     N/2 outside, with u = tau - tau0.
     """
-    out = np.empty(tau.shape[0])
+    out = np.full(tau.shape[0], 0.5 * n_rate)
     for i in range(tau.shape[0]):
         u = tau[i] - tau0
         au = abs(u)
         if au <= tau_c:
             env = 1.0 - au / tau_c
             out[i] = 0.5 * n_rate * (1.0 - vis * np.cos(dw * u) * env)
-        else:
-            out[i] = 0.5 * n_rate
     return out
 
 
@@ -124,6 +125,7 @@ def homi_jac(tau, n_rate, vis, dw, tau_c, tau0):
     """d I / d (N, V, dw, tau_c, tau0); (npts, 5). Kinks use inner-branch slopes."""
     m = tau.shape[0]
     jac = np.zeros((m, 5))
+    jac[:, 0] = 0.5
     for i in range(m):
         u = tau[i] - tau0
         au = abs(u)
@@ -131,19 +133,13 @@ def homi_jac(tau, n_rate, vis, dw, tau_c, tau0):
             c = np.cos(dw * u)
             s = np.sin(dw * u)
             env = 1.0 - au / tau_c
-            sgn = 0.0
-            if u > 0.0:
-                sgn = 1.0
-            elif u < 0.0:
-                sgn = -1.0
+            sgn = 1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0
             jac[i, 0] = 0.5 * (1.0 - vis * c * env)
             jac[i, 1] = -0.5 * n_rate * c * env
             jac[i, 2] = 0.5 * n_rate * vis * u * s * env
             jac[i, 3] = -0.5 * n_rate * vis * c * au / (tau_c * tau_c)
             jac[i, 4] = -0.5 * n_rate * vis * (dw * s * env
                                                + c * sgn / tau_c)
-        else:
-            jac[i, 0] = 0.5
     return jac
 
 
@@ -153,11 +149,6 @@ def homi_rate(params: HomParams, tau):
     out = homi_curve(t, params.N, params.V, params.delta_omega,
                      params.tau_c, params.tau_offset)
     return float(out[0]) if np.ndim(tau) == 0 else out
-
-
-def _poisson_sigma(counts):
-    """The Poisson uncertainty of counts, sqrt(max(count, 1))."""
-    return np.sqrt(np.maximum(counts, 1.0))
 
 
 def synthesize_scan(params: HomParams, delays, pairs_per_point: float,
@@ -173,17 +164,16 @@ def synthesize_scan(params: HomParams, delays, pairs_per_point: float,
     mean = homi_rate(params, delays) / (0.5 * params.N) * pairs_per_point
     counts = rng.poisson(mean).astype(float)
     return HomScan(delays=delays, counts=counts,
-                   uncertainties=_poisson_sigma(counts),
                    acquisition={"pairs_per_point": float(pairs_per_point),
                                 "rng_seed": int(rng_seed)})
 
 
-def _initial_guess(d, c, s, w) -> dict:
+def _initial_guess(d, c) -> dict:
     t = np.linspace(d[0], d[-1], len(d))
     spec = np.abs(np.fft.rfft(np.interp(t, d, c) - c.mean()))
     dw0 = 2.0 * np.pi * np.fft.rfftfreq(len(t), t[1] - t[0])[
         1 + np.argmax(spec[1:])]
-    p = np.clip((c - c.mean()) ** 2 - s ** 2, 0.0, None)
+    p = np.clip((c - c.mean()) ** 2 - np.maximum(c, 1.0), 0.0, None)
     if np.count_nonzero(p) < 2:
         raise FitConvergenceError("beat power above the Poisson noise at "
                                   "fewer than two delays: nothing to fit")
@@ -198,7 +188,7 @@ def _initial_guess(d, c, s, w) -> dict:
     cos, sin = np.cos(dw0 * u), np.sin(dw0 * u)
     basis = np.stack([np.ones_like(u), cos * env, sin * env, cos * slope,
                       sin * slope], axis=1)
-    a0, a1, a2, b1, b2 = np.linalg.lstsq(basis * w[:, None], c * w)[0]
+    a0, a1, a2, b1, b2 = np.linalg.lstsq(basis, c)[0]
     # the fringe dip of that phase nearest the shifted envelope centre
     shift = (a1 * b1 + a2 * b2) / (a1 * a1 + a2 * a2)
     phase = np.arctan2(-a2, -a1)
@@ -209,37 +199,37 @@ def _initial_guess(d, c, s, w) -> dict:
 
 
 def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
-    """Weighted Levenberg-Marquardt fit of the five-parameter beat model.
+    """Poisson maximum-likelihood fit of the five-parameter beat model.
 
-    The start: delta_omega is the spectral peak of the counts resampled
-    onto a uniform delay grid, the envelope's centre and tau_c are moments
-    of the beat power above the Poisson noise, and one weighted linear fit
-    gives N, V, the fringe phase and a first-order shift of that centre;
-    tau_offset is the dip of that phase nearest the shifted centre.
-    A dict ``init`` overrides it entry by entry. Each iteration evaluates
-    the Jacobian once and the model once per trial step: the accepted
-    trial's residual is the next iteration's.
+    Levenberg-Marquardt with Fisher scoring minimizes the deviance
+    D = 2 sum(mu - c + c log(c/mu)) of the counts c at the model means mu:
+    a step solves with the gradient J^T (1 - c/mu) and the Fisher matrix
+    J^T diag(1/mu) J, and a trial that puts mu at or below zero at a delay
+    is rejected. Only the scan's delays and counts enter. The start:
+    delta_omega is the spectral peak of the counts resampled onto a uniform
+    delay grid, the envelope's centre and tau_c are moments of the beat
+    power above the Poisson noise, and one linear fit gives N, V, the
+    fringe phase and a first-order shift of that centre; tau_offset is the
+    dip of that phase nearest the shifted centre. A dict ``init``
+    overrides it entry by entry.
 
     Flags: ``V_clipped`` when V left [0, 1]; ``delta_omega_unidentifiable``
     and ``envelope_unidentifiable`` (tau_c and tau_offset) when V lies
     within two standard errors of 0 or below 0.02.
 
     Raises FitConvergenceError (carrying the last iterate) after
-    ``_MAX_ITER`` iterations without the relative step falling below
-    tolerance or when J^T J at the optimum is singular, and up front for a
-    scan of no more points than parameters or with beat power above the
-    noise at fewer than two delays.
+    ``_MAX_ITER`` iterations without convergence, when the start puts mu
+    at or below zero or the Fisher information at the optimum is singular,
+    and up front for a scan of no more points than parameters or with beat
+    power above the noise at fewer than two delays.
     """
     if len(scan.delays) <= len(_PARAM_NAMES):
         raise FitConvergenceError(
             f"{len(scan.delays)} scan points cannot determine the "
             f"{len(_PARAM_NAMES)} model parameters; need at least "
             f"{len(_PARAM_NAMES) + 1}")
-    d, c, s = scan.delays, scan.counts, scan.uncertainties
-    s = np.where(s > 0.0, s, _poisson_sigma(c))
-    w = 1.0 / s
-    guess = _initial_guess(d, c, s, w)
-    flags = []
+    d, c = scan.delays, scan.counts
+    guess = _initial_guess(d, c)
     if init is not None:
         if not isinstance(init, dict):
             raise ValueError("'init' must be a dict of starting values, "
@@ -251,23 +241,29 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
                       for k, v in init.items()})
     theta = np.array([guess[k] for k in _PARAM_NAMES])
 
-    def residual(th):
-        return (homi_curve(d, th[0], th[1], th[2], abs(th[3]), th[4]) - c) * w
+    def at(th):   # the model's arguments at th, tau_c folded to |tau_c|
+        return d, th[0], th[1], th[2], abs(th[3]), th[4]
 
-    def jac(th):
-        return homi_jac(d, th[0], th[1], th[2], abs(th[3]), th[4])
+    def deviance(mu):
+        if not np.all(mu > 0.0):
+            return np.inf
+        # nonnegative term by term; the clip drops rounding at D ~ 0
+        return max(2.0 * float(np.sum(mu - c) + c @ np.log(
+            np.where(c > 0.0, c / mu, 1.0))), 0.0)
 
-    r = residual(theta)
-    cost = float(r @ r)
+    mu = homi_curve(*at(theta))
+    cost = deviance(mu)
+    if cost == np.inf:
+        raise FitConvergenceError(
+            "the start puts the model rate at or below zero at a delay",
+            last_iterate=dict(zip(_PARAM_NAMES, theta)), residual=np.inf)
     lam = 1e-3
     scale = np.maximum(np.abs(theta), [1.0, 0.1, 1e11, 1e-13, 1e-14])
-    converged = False
-    it = 0
     for it in range(1, _MAX_ITER + 1):
-        j = jac(theta) * w[:, None]
-        g = j.T @ r
-        h = j.T @ j
-        stepped = False
+        j = homi_jac(*at(theta))
+        g = j.T @ (1.0 - c / mu)
+        h = j.T @ (j / mu[:, None])
+        gained = 0.0   # kept when the step is negligible
         for _ in range(25):
             try:
                 delta = np.linalg.solve(h + lam * np.diag(np.diag(h).clip(
@@ -275,51 +271,41 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = residual(theta + delta)
-            new_cost = float(r_new @ r_new)
-            if new_cost <= cost:
-                gained = cost - new_cost
-                theta, r, cost = theta + delta, r_new, new_cost
+            if np.max(np.abs(delta) / scale) < _REL_STEP_TOL:
+                break
+            mu_new = homi_curve(*at(theta + delta))
+            new_cost = deviance(mu_new)
+            gained = cost - new_cost
+            if gained >= 0.0:
+                theta, mu, cost = theta + delta, mu_new, new_cost
                 lam = max(lam / 3.0, 1e-12)
-                stepped = True
                 break
             lam *= 8.0
-        if not stepped:
-            # damping exhausted: we are at a (local) minimum
-            converged = True
-            delta = np.zeros_like(theta)
-            break
-        # stop on a negligible cost decrease too: in a flat chi^2 valley
-        # (e.g. V ~ 0 making delta_omega unidentifiable) the step size
-        # alone never settles
+        # a (local) minimum: a negligible step or decrease (a flat valley,
+        # as at V ~ 0, never settles the step), or damping exhausted
         if gained <= 1e-12 * max(cost, 1e-30):
-            converged = True
-            break
-        if np.max(np.abs(delta) / scale) < _REL_STEP_TOL:
-            converged = True
             break
 
     theta[3] = abs(theta[3])
     last = {"last_iterate": dict(zip(_PARAM_NAMES, theta)),
             "residual": np.sqrt(cost)}
-    if not converged:
+    if gained > 1e-12 * max(cost, 1e-30):
         raise FitConvergenceError(
             f"no convergence in {_MAX_ITER} iterations "
             f"(last rel step {np.max(np.abs(delta)/scale):.3g})", **last)
 
-    if theta[1] < 0.0 or theta[1] > 1.0:
-        flags.append("V_clipped")
-        theta[1] = float(np.clip(theta[1], 0.0, 1.0))
+    flags = [] if 0.0 <= theta[1] <= 1.0 else ["V_clipped"]
+    theta[1] = min(max(theta[1], 0.0), 1.0)
 
-    j = jac(theta) * w[:, None]
+    j = homi_jac(*at(theta))
     try:
-        cov = np.linalg.inv(j.T @ j)
+        cov = np.linalg.inv(j.T @ (j / mu[:, None]))
     except np.linalg.LinAlgError:
         cov = np.full((5, 5), np.inf)
     if not np.all(np.isfinite(cov)):
-        raise FitConvergenceError("J^T J is singular at the optimum: the scan "
-                                  "does not determine all five parameters",
-                                  **last)
+        raise FitConvergenceError("the Fisher information is singular at "
+                                  "the optimum: the scan does not "
+                                  "determine all five parameters", **last)
     if theta[1] < max(2.0 * np.sqrt(abs(cov[1, 1])), 0.02):
         # no resolved beat: its envelope is as unidentified as its frequency
         flags += ["delta_omega_unidentifiable", "envelope_unidentifiable"]

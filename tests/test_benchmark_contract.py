@@ -46,6 +46,15 @@ def test_library_workload_passes_checks_traced_and_untraced(workload_class):
     assert _checks(workload, block, traced) == [None] * len(block)
 
 
+def test_analysis_deep_dip_case_passes_checks():
+    # seed 3002's case 216 (V 0.98, 303 pairs per point, 1044 delays)
+    # read "V off by 5.52 stderr" under the count-weighted chi^2 fit
+    workload = tasks.Analysis(3002)
+    case = next(itertools.islice(workload.cases, 216, None))
+    assert case["kind"] == "hom" and case["rng_seed"] == 1110958085
+    assert workload.check(case, workload.run(case)) is None
+
+
 def test_cli_chain_passes_checks(tmp_path):
     workload = tasks.CliChain(0, run.ROOT, tmp_path, run.child_env())
     block = _first_block(workload)

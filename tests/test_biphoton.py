@@ -88,6 +88,13 @@ def test_joint_spectrum_rejects_nonpositive_lobes(default_spec, lobes):
         joint_spectrum(default_spec, lobes=lobes)
 
 
+@pytest.mark.parametrize("n_points", [16, 0, -7])
+def test_joint_spectrum_rejects_fewer_than_17_points(default_spec, n_points):
+    # such counts used to be raised to 17 without a word
+    with pytest.raises(ValueError, match="n_points must be at least 17"):
+        joint_spectrum(default_spec, n_points=n_points)
+
+
 def test_single_segment_bandwidth(default_spec):
     single = dataclasses.replace(default_spec,
                                  segments=(default_spec.segments[0],))

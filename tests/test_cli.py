@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from freqbin.cli import _build_parser, main
-from freqbin.entanglement import rho_freq
+from freqbin.entanglement import mode_convert, rho_freq
 from freqbin.hom import HomParams, synthesize_scan
 from freqbin.qpm import Branch
 
@@ -197,6 +197,15 @@ def test_spectrum_nonpositive_lobes_is_usage_error(tmp_path, capsys, lobes):
     assert not list(tmp_path.iterdir())
 
 
+def test_spectrum_too_few_points_is_usage_error(tmp_path, capsys):
+    # --points -7 used to become 17 points, then fail as a numerical error
+    # (exit 1) reporting "17 points across ..."
+    rc = main(["spectrum", "--points", "-7", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "n_points must be at least 17, not -7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_spectrum_single_process_flag(tmp_path, capsys):
     crystal = {
         "segments": [{"period_um": 9.25, "length_mm": 20.0}],
@@ -293,7 +302,9 @@ def write_scan(path, counts, sigma, taus=None):
 
 def test_hom_fit_weights_zero_sigma_by_poisson_rule(tmp_path):
     # written with sigma = sqrt(c), the zero counts of this 8-pair scan
-    # used to be weighted by 1e12: V = 0 +- NaN, 30 NaN tokens in the file
+    # used to be weighted by 1e12: V = 0 +- NaN, 30 NaN tokens in the file.
+    # The Poisson likelihood reads only the counts, zeros included; the
+    # weighted chi^2 that read the sigma column gave V = 0.916 +- 0.056
     scan = synthesize_scan(HomParams(1.0, 0.9, 2 * np.pi * 11e12, 2e-12),
                            np.linspace(-3e-12, 3e-12, 241), 8.0, 0)
     path = write_scan(tmp_path / "scan.csv", scan.counts.tolist(),
@@ -301,9 +312,28 @@ def test_hom_fit_weights_zero_sigma_by_poisson_rule(tmp_path):
     assert main(["hom", "fit", "--scan", str(path), "--out-dir",
                  str(tmp_path)]) == 0
     fit = load_json(tmp_path / "hom_fit.json")["fit"]
-    assert fit["V"] == pytest.approx(0.916, abs=1e-3)
-    assert fit["stderr"]["V"] == pytest.approx(0.056, abs=1e-3)
+    assert fit["V"] == pytest.approx(0.796, abs=1e-3)
+    assert fit["stderr"]["V"] == pytest.approx(0.062, abs=1e-3)
     assert fit["flags"] == []
+
+
+def test_hom_fit_reads_only_delays_and_counts(tmp_path):
+    # the fit is the same with the sigma column, without it, and after
+    # hom model's sigma column of zeros
+    assert main(["hom", "model", "--n", "4000", "--out-dir",
+                 str(tmp_path / "model")]) == 0
+    _, _, rows = read_meta_and_rows(tmp_path / "model" / "hom_model.csv")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("tau_fs,counts\n" + "".join(f"{t},{c}\n"
+                                                 for t, c, _ in rows))
+    fits = []
+    for scan in (tmp_path / "model" / "hom_model.csv", bare):
+        out = tmp_path / scan.stem
+        assert main(["hom", "fit", "--scan", str(scan), "--out-dir",
+                     str(out)]) == 0
+        fits.append(load_json(out / "hom_fit.json")["fit"])
+    assert fits[0] == fits[1]
+    assert fits[0]["V"] == pytest.approx(0.934, abs=1e-6)
 
 
 def test_hom_fit_with_singular_normal_matrix_is_numerical_failure(tmp_path,
@@ -323,9 +353,10 @@ def test_hom_fit_with_singular_normal_matrix_is_numerical_failure(tmp_path,
     assert not (tmp_path / "hom_fit.json").exists()
 
 
-@pytest.mark.parametrize("column", ["tau_fs", "counts", "sigma"])
+@pytest.mark.parametrize("column", ["tau_fs", "counts"])
 def test_hom_fit_nonfinite_cell_is_usage_error(tmp_path, capsys, column):
-    # a nan count used to reach LAPACK: "SVD did not converge"
+    # a nan count used to reach LAPACK: "SVD did not converge"; the sigma
+    # column is not read
     scan = synthesize_scan(HomParams(1.0, 0.9, 2 * np.pi * 11e12, 2e-12),
                            np.linspace(-3e-12, 3e-12, 241), 2000.0, 0)
     columns = {"tau_fs": (scan.delays * 1e15).tolist(),
@@ -339,7 +370,7 @@ def test_hom_fit_nonfinite_cell_is_usage_error(tmp_path, capsys, column):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "usage" and err["error"] == "ValueError"
-    field = {"tau_fs": "delays", "sigma": "uncertainties"}.get(column, column)
+    field = {"tau_fs": "delays"}.get(column, column)
     assert f"{field} must be finite" in err["message"]
     assert not (tmp_path / "hom_fit.json").exists()
 
@@ -401,6 +432,41 @@ def test_tomo_convert_with_matrix(tmp_path):
         payload["rho"]["im"]))
     phase = np.mod(np.angle(elem[2, 1]), 2 * np.pi)
     assert phase / np.pi == pytest.approx(1.54, abs=1e-6)
+
+
+def write_rho(path, rho):
+    path.write_text(json.dumps({"rho": rho.to_json_dict()}))
+    return str(path)
+
+
+def test_tau_fs_converts_a_rho_file(tmp_path):
+    # --tau-fs was ignored when --rho was given: metrics printed the
+    # frequency-basis F = 0.967, simulate wrote unconverted counts
+    rho = write_rho(tmp_path / "f.json", rho_freq(0.516, 0.934, 0.0))
+    for source in (["--rho", rho], []):
+        out = str(tmp_path / ("file" if source else "options"))
+        for command in (["metrics"], ["simulate", "--seed", "3"]):
+            assert main(["tomo", *command, *source, "--tau-fs", "47",
+                         "--out-dir", out]) == 0
+
+    def both(name, read):
+        return [read(tmp_path / side / name) for side in ("file", "options")]
+    metrics = both("tomo_metrics.json", lambda f: load_json(f)["metrics"])
+    counts = both("tomo_counts.csv", lambda f: read_meta_and_rows(f)[2])
+    assert metrics[0] == metrics[1] and counts[0] == counts[1]
+    assert metrics[0]["basis"] == ["HH", "HV", "VH", "VV"]
+    assert metrics[0]["fidelity"] == pytest.approx(0.048, abs=1e-3)
+
+
+def test_tau_fs_on_a_polarization_rho_file_is_usage_error(tmp_path, capsys):
+    rho = mode_convert(rho_freq(0.516, 0.934, 0.0), 0.0, 2 * np.pi * 11.5e12)
+    path = write_rho(tmp_path / "p.json", rho)
+    rc = main(["tomo", "metrics", "--rho", path, "--tau-fs", "47",
+               "--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "BasisMismatchError"
+    assert not (tmp_path / "tomo_metrics.json").exists()
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -697,9 +763,14 @@ def wrong_type_input(tmp_path, case):
         return (["tomo", "simulate", "--projectors", str(path)],
                 [str(path), f"'{key}'"])
     if case.startswith("rho"):
-        path.write_text("[1, 2]" if case == "rho" else '{"rho": [1, 2]}')
+        rho = rho_freq(0.5, 0.8, 0.0).to_json_dict()
+        key, payload = {"rho": (None, [1, 2]),
+                        "rho_value": ("rho", {"rho": [1, 2]}),
+                        "rho_basis": ("basis", {"rho": {**rho, "basis": 5}}),
+                        "rho_im": ("im", {"rho": {**rho, "im": 3}})}[case]
+        path.write_text(json.dumps(payload))
         return (["tomo", "metrics", "--rho", str(path)],
-                [str(path)] + (["'rho'"] if case == "rho_value" else []))
+                [str(path)] + ([f"'{key}'"] if key else []))
     crystal = bundled("crystals", "default")
     if case.startswith("sellmeier"):
         sellmeier = bundled("sellmeier", "cln_e_edwards1984")
@@ -736,7 +807,8 @@ def wrong_type_input(tmp_path, case):
                                   "projector_settings", "projector_setting",
                                   "projector_label", "projector_ket",
                                   "projector_ket_size",
-                                  "projector_ket_zero"])
+                                  "projector_ket_zero", "rho_basis",
+                                  "rho_im"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
     # a value of the wrong JSON type, or a NaN, is a usage error, like a
@@ -746,8 +818,9 @@ def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
     # init_str and init_bool were read as the numbers 1000 and 1, the
     # NaNs were read as numbers, projector_settings, projector_setting and
     # projector_ket said only "not enough values to unpack", projector_label
-    # escaped as a TypeError, and projector_ket_size and projector_ket_zero
-    # named neither the file nor the key
+    # and rho_basis escaped as a TypeError, projector_ket_size and
+    # projector_ket_zero named neither the file nor the key, and rho_im's
+    # scalar broadcast into a matrix reported as "not Hermitian" (exit 1)
     argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
