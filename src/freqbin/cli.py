@@ -23,11 +23,10 @@ from pathlib import Path
 from . import __version__
 from .errors import (BinReductionError, BranchAmbiguityError,
                      FitConvergenceError, GridResolutionError,
-                     NoPhaseMatchError, PhysicalityError, TomographyDataError)
+                     NoPhaseMatchError, TomographyDataError)
 
-# PhysicalityError is also a ValueError, so this tuple is tested first
 _NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
-              BinReductionError, GridResolutionError, PhysicalityError)
+              BinReductionError, GridResolutionError)
 _USAGE = (FileNotFoundError, IsADirectoryError, ValueError)
 # namespace entries left out of each output's recorded configuration
 _UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
@@ -142,8 +141,15 @@ def cmd_qpm_period(args) -> int:
     from .dispersion import Polarization
     from .qpm import PhaseMatchPoint, solve_period
     spec = _load_spec(args)
+    for flag, nm in (("--signal-nm", args.signal_nm),
+                     ("--idler-nm", args.idler_nm)):
+        if not nm > 0.0:
+            raise ValueError(f"{flag} must be positive, not {nm:g}")
     lam_s, lam_i = args.signal_nm * 1e-9, args.idler_nm * 1e-9
     lam_p = 1.0 / (1.0 / lam_s + 1.0 / lam_i)   # pump slaved to conservation
+    if not lam_p > 0.0:
+        raise ValueError("--signal-nm and --idler-nm are too short: the "
+                         "pump wavelength they give underflows to 0")
     spec = replace(spec, pump_wavelength=lam_p)
     signal_pol = Polarization(args.signal_pol)
     pt = PhaseMatchPoint(pump_wavelength=lam_p, signal_wavelength=lam_s,
@@ -247,11 +253,14 @@ def cmd_spectrum(args) -> int:
 
 # --- hom ------------------------------------------------------------------
 
-def _hom(args):
-    """The beat-model parameters and the delay grid of the HOM options."""
+def _hom(args, n_rate=1.0):
+    """The beat-model parameters, at baseline level ``n_rate``, and the
+    delay grid of the HOM options."""
     import numpy as np
     from .hom import HomParams
-    params = HomParams(args.n, args.v, math.tau * args.dw_thz * 1e12,
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, not {args.points}")
+    params = HomParams(n_rate, args.v, math.tau * args.dw_thz * 1e12,
                        args.tauc_ps * 1e-12, args.tau0_fs * 1e-15)
     r = args.range_ps * 1e-12
     return params, np.linspace(-r, r, args.points)
@@ -259,7 +268,7 @@ def _hom(args):
 
 def cmd_hom_model(args) -> int:
     from .hom import homi_rate
-    params, taus = _hom(args)
+    params, taus = _hom(args, args.n)
     vals = homi_rate(params, taus)
     print(f"model curve: {len(taus)} points, I(0)/N = "
           f"{homi_rate(params, 0.0)/params.N:.6f}")
@@ -270,7 +279,7 @@ def cmd_hom_model(args) -> int:
 
 def cmd_hom_synth(args) -> int:
     from .hom import synthesize_scan
-    params, taus = _hom(args)
+    params, taus = _hom(args)       # the counts scale with --pairs, not N
     scan = synthesize_scan(params, taus, args.pairs, args.seed)
     print(f"synthesized {len(taus)} points at ~{args.pairs:g} pairs/point "
           f"(seed {args.seed})")
@@ -463,8 +472,6 @@ _DW_THZ = _opt("--dw-thz", type=float, default=11.5,
 _TAUC_PS = _opt("--tauc-ps", type=float, default=2.40,
                 help="triangular envelope half-base [ps]")
 _HOM = (
-    _opt("--n", type=float, default=1.0,
-         help="baseline level N (far-delay rate = N/2)"),
     _opt("--v", type=float, default=0.934, help="visibility"),
     _DW_THZ, _TAUC_PS,
     _opt("--tau0-fs", type=float, default=0.0,
@@ -532,7 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
     hsub = top.add_parser("hom", help="Hong-Ou-Mandel scans") \
         .add_subparsers(dest="subcommand")
     _command(hsub, "model", cmd_hom_model, "noiseless beat-model curve",
-             *_HOM)
+             _opt("--n", type=float, default=1.0,
+                  help="baseline level N (far-delay rate = N/2)"), *_HOM)
     _command(hsub, "synth", cmd_hom_synth, "Poisson-sampled synthetic scan",
              *_HOM, _opt("--pairs", type=float, default=2000.0,
                          help="expected pairs per point at baseline"),

@@ -148,24 +148,6 @@ class SellmeierSet:
                - 2.0 * c["a6"] * lam_um)
         return dn2 / (2.0 * self.index(lam_um, t_c))
 
-    def dn_dT(self, lam_um, t_c):
-        """Analytic dn/dT [1/degC], for the arguments ``index`` takes; 0
-        for the temperature-free forms."""
-        c = self.coefficients
-        if self.form != "sellmeier_t":
-            return np.zeros(np.shape(lam_um))[()]
-        f = (t_c - c["t0"]) * (t_c + c["t1"])
-        lam2 = lam_um * lam_um
-        pole1 = c["a3"] + c["b3"] * f
-        den1 = lam2 - pole1 * pole1
-        # d(n^2)/df; the pole moves with f through b3
-        dn2_df = (c["b1"] + c["b2"] / den1
-                  + 2.0 * c["b3"] * pole1 * (c["a2"] + c["b2"] * f)
-                  / (den1 * den1)
-                  + c["b4"] / (lam2 - c["a5"] * c["a5"]))
-        df_dt = 2.0 * t_c + c["t1"] - c["t0"]
-        return dn2_df * df_dt / (2.0 * self.index(lam_um, t_c))
-
     def check_range(self, wavelength_um: float, temperature_C: float) -> None:
         lo, hi = self.valid_wavelength_um
         if not lo <= wavelength_um <= hi:

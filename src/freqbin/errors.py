@@ -1,8 +1,9 @@
 """Exception taxonomy.
 
-Numerical failures (no phase match, fit divergence, unphysical matrices) are
+Numerical failures (no phase match, fit divergence, unresolved bins) are
 kept distinct from plain argument errors so the CLI can map them to exit
-code 1 vs 2.
+code 1 vs 2. The errors that are also ValueErrors (range, physicality,
+basis, tomography data) describe bad input: exit code 2.
 """
 
 

@@ -38,6 +38,8 @@ class HomParams:
     tau_offset: float = 0.0
 
     def __post_init__(self):
+        if not self.N > 0.0:
+            raise ValueError("N must be > 0")
         if not 0.0 <= self.V <= 1.0:
             raise ValueError("V must be in [0, 1]")
         if not self.tau_c > 0.0:

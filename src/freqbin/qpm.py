@@ -20,12 +20,10 @@ superlinear. Each row repeats a one-row solve's arithmetic, so a
 ``solve_signal_idler`` (the one-row call) returns point by point.
 
 ``crossing_temperature`` solves both segments at both bracket ends in one
-call, then runs Newton's method in (T, lam_s) on dk_0(T, lam_s) = 0 and
-dk_1(T, lam_i(lam_s)) = 0, with closed-form derivatives from
-``SellmeierSet.dn_dT`` and ``dn_dlam``, from the ends' regula falsi point.
-An iterate that leaves the bracket hands over to an Illinois search on the
-pair-frequency gap between the ends. ``biphoton.reduce_to_bins`` refines
-its compensation delay with the same root finder, on the overlap's slope.
+call, then runs the same root finder on one mismatch: segment 1's at
+segment 0's idler, which vanishes where the segments emit one pair, roles
+exchanged. ``biphoton.reduce_to_bins`` refines its compensation delay
+with it too, on the overlap's slope: it is the package's one root finder.
 Everything is pure over immutable specs.
 """
 from __future__ import annotations
@@ -45,8 +43,7 @@ TWO_PI = 2.0 * np.pi
 C_M_PER_S = 2.99792458e8  # speed of light in m/s
 _SCAN_POINTS = 241        # signal grid that brackets each pair-solve root
 _PAIR_TOL = 1e-3          # largest |dk| in rad/m a solved pair may keep
-_CROSSING_TOL_C = 1e-9    # last Newton step, or final bracket, in degC
-_NEWTON_STEPS = 20        # Newton steps before the crossing's bracket search
+_CROSSING_TOL_C = 1e-9    # crossing search's final bracket in degC
 _SIGNAL_BRACKET = (1.2e-6, 1.9e-6)   # default signal search range [m]
 
 
@@ -255,24 +252,6 @@ def _mismatch(sets, t_c, lam_p_um, lam_s_um, period_um=np.inf):
     ks = TWO_PI * s_set.index(lam_s_um, t_c) / lam_s_um
     ki = TWO_PI * i_set.index(lam_i, t_c) / lam_i
     return kp - ks - ki - TWO_PI / period_um, ks + ki
-
-
-def _mismatch_slopes(sets, t_c, lam_p_um, lam_s_um):
-    """d(dk)/dT [rad/um/degC] and d(dk)/dlam_s [rad/um^2] of ``_mismatch``
-    at a fixed pump, the idler slaved (dlam_i/dlam_s = -(lam_i/lam_s)^2)."""
-    p_set, s_set, i_set = sets
-    lam_i = 1.0 / (1.0 / lam_p_um - 1.0 / lam_s_um)
-
-    def dk_dlam(sset, lam):
-        return TWO_PI * (sset.dn_dlam(lam, t_c)
-                         - sset.index(lam, t_c) / lam) / lam
-
-    d_t = TWO_PI * (p_set.dn_dT(lam_p_um, t_c) / lam_p_um
-                    - s_set.dn_dT(lam_s_um, t_c) / lam_s_um
-                    - i_set.dn_dT(lam_i, t_c) / lam_i)
-    d_lam = (dk_dlam(i_set, lam_i) * (lam_i / lam_s_um) ** 2
-             - dk_dlam(s_set, lam_s_um))
-    return d_t, d_lam
 
 
 def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
@@ -519,96 +498,42 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
     return out
 
 
-def _newton_crossing(spec: CrystalSpec, t_ends, gaps, lam_ends):
-    """Crossing temperature by Newton's method in (T, lam), or None.
-
-    lam [um] is segment 0's H signal, and the crossing solves
-    dk_0(T, lam) = 0 and dk_1(T, mu) = 0 with mu = lam_i(lam): segment 1's
-    H signal is segment 0's idler. The start is the regula falsi point of
-    the bracket ends (their temperatures, pair-frequency ``gaps`` and
-    segment-0 signals ``lam_ends`` [m]). None once an iterate leaves the
-    temperature bracket or puts lam or mu outside the signal bracket that
-    the ends' pair solves range-checked, or after ``_NEWTON_STEPS``.
-    """
-    (t_lo, t_hi), (g_lo, g_hi) = t_ends, gaps
-    t_min, t_max = sorted(t_ends)
-    if g_lo == g_hi:
-        return None
-    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
-                                          Polarization.H, Polarization.V)))
-    lam_p = spec.pump_wavelength * 1e6
-    lo_um, hi_um = _SIGNAL_BRACKET[0] * 1e6, _SIGNAL_BRACKET[1] * 1e6
-    periods = np.array([seg.period * 1e6 for seg in spec.segments[:2]])
-
-    def idler(lam):
-        return 1.0 / (1.0 / lam_p - 1.0 / lam)
-
-    def inside(t, lam):
-        return (t_min <= t <= t_max and lo_um <= lam <= hi_um
-                and lo_um <= idler(lam) <= hi_um)
-
-    w = g_lo / (g_lo - g_hi)
-    t = t_lo + w * (t_hi - t_lo)
-    lam = (lam_ends[0] + w * (lam_ends[1] - lam_ends[0])) * 1e6
-    if not inside(t, lam):
-        return None
-    for _ in range(_NEWTON_STEPS):
-        mu = idler(lam)
-        x = np.array([lam, mu])
-        f0, f1 = _mismatch(sets, t, lam_p, x, periods)[0].tolist()
-        (a, c), (b, d) = (g.tolist() for g in
-                          _mismatch_slopes(sets, t, lam_p, x))
-        d *= -(mu / lam) ** 2          # dmu/dlam
-        det = a * d - b * c
-        if det == 0.0:
-            return None
-        step_t = (f0 * d - b * f1) / det
-        t, lam = t - step_t, lam - (a * f1 - c * f0) / det
-        if not inside(t, lam):
-            return None
-        if abs(step_t) <= _CROSSING_TOL_C:
-            return t
-    return None
-
-
 def crossing_temperature(spec: CrystalSpec,
                          t_bracket=(100.0, 140.0)) -> float:
     """Temperature at which segments 0 and 1 emit the same pair, roles
     exchanged.
 
-    At the crossing, the H signals of segments 0 and 1 are conjugate
-    frequencies (nu_0 + nu_1 = nu_p), i.e. the two processes populate the
-    same two bins with polarizations swapped. Both segments are solved at
-    both bracket ends in one batched call, whose errors propagate; Newton's
-    method in (T, lam_s) (``_newton_crossing``) then converges on the
-    crossing until its temperature step is no larger than
-    ``_CROSSING_TOL_C`` degC. If an iterate leaves the bracket, the gap
-    nu_0 + nu_1 - nu_p is refined by ``_bracketed_root`` instead, until its
-    temperature bracket is no wider than ``_CROSSING_TOL_C``.
+    At the crossing, segment 1's H signal is segment 0's idler mu, i.e. the
+    two processes populate the same two bins with polarizations swapped.
+    The crossing is thus the root of h(T), segment 1's mismatch at mu(T).
+    Both segments are solved at both bracket ends in one batched call,
+    whose errors propagate; ends of one sign raise NoPhaseMatchError with
+    h's span in rad/m. ``_bracketed_root`` then refines h until its
+    temperature bracket is no wider than ``_CROSSING_TOL_C`` degC, each
+    step solving segment 0 alone and range-checking mu and its idler.
     """
-    c_um = C_M_PER_S * 1e6
-    nu_p = c_um / (spec.pump_wavelength * 1e6)
+    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
+                                          Polarization.H, Polarization.V)))
+    lam_p_um = spec.pump_wavelength * 1e6
+    period_um = spec.segments[1].period * 1e6
 
-    def pairs(*temps):
-        n = len(temps)
-        return _solved(_solve_rows(spec, (0, 1) * n, np.repeat(temps, 2),
-                                   spec.pump_wavelength))
-
-    def gap(p0, p1):
-        return (c_um / (p0.signal_wavelength * 1e6)
-                + c_um / (p1.signal_wavelength * 1e6) - nu_p)
+    def h(t, pair0):
+        mu = pair0.idler_wavelength * 1e6
+        _check_span(sets, t, lam_p_um, mu, mu)
+        return _mismatch(sets, t, lam_p_um, mu, period_um)[0] * 1e6
 
     lo, hi = float(t_bracket[0]), float(t_bracket[1])
-    lo0, lo1, hi0, hi1 = pairs(lo, hi)
-    glo, ghi = gap(lo0, lo1), gap(hi0, hi1)
-    if glo * ghi > 0.0:
+    lo0, _, hi0, _ = _solved(_solve_rows(spec, (0, 1, 0, 1), (lo, lo, hi, hi),
+                                         spec.pump_wavelength))
+    h_lo, h_hi = h(lo, lo0), h(hi, hi0)
+    if h_lo * h_hi > 0.0:
+        h_min, h_max = sorted((float(h_lo), float(h_hi)))
         raise NoPhaseMatchError(
-            f"no tuning-curve crossing in [{lo:g}, {hi:g}] C "
-            f"(pair mismatch spans [{glo:.4g}, {ghi:.4g}] THz-equivalent)",
-            dk_min=glo, dk_max=ghi)
-    t_star = _newton_crossing(spec, (lo, hi), (glo, ghi),
-                              (lo0.signal_wavelength, hi0.signal_wavelength))
-    if t_star is None:
-        t_star = _bracketed_root(lambda t: gap(*pairs(t)), lo, hi, glo, ghi,
-                                 xtol=_CROSSING_TOL_C)[0]
+            f"no tuning-curve crossing in [{lo:g}, {hi:g}] C (segment 1's "
+            f"mismatch at segment 0's idler spans [{h_min:.4g}, "
+            f"{h_max:.4g}] rad/m)", dk_min=h_min, dk_max=h_max)
+    t_star, _ = _bracketed_root(
+        lambda t: h(t, _solved(_solve_rows(spec, 0, t,
+                                           spec.pump_wavelength))[0]),
+        lo, hi, h_lo, h_hi, xtol=_CROSSING_TOL_C)
     return float(t_star)

@@ -492,6 +492,33 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     assert not list(tmp_path.glob("*.*"))
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["qpm", "period", "--signal-nm", "0", "--idler-nm", "1594"],
+     "--signal-nm"),
+    (["qpm", "period", "--signal-nm", "1506", "--idler-nm", "0"],
+     "--idler-nm"),
+    (["qpm", "period", "--signal-nm", "-1", "--idler-nm", "1594"],
+     "--signal-nm"),
+    (["qpm", "period", "--signal-nm", "1e-300", "--idler-nm", "1594"],
+     "--signal-nm"),
+    (["hom", "model", "--n", "-1"], "N must be > 0"),
+    (["hom", "model", "--points", "0"], "--points"),
+    (["hom", "synth", "--points", "-5"], "--points"),
+    # the same mistake gets the same code in hom and tomo, though tomo's
+    # is a PhysicalityError
+    (["hom", "model", "--v", "1.5"], "V must be in"),
+    (["tomo", "simulate", "--v", "1.5"], "V = 1.5"),
+    (["tomo", "simulate", "--p", "1.5"], "p = 1.5"),
+])
+def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
+                                                   needle):
+    rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and needle in err["message"]
+    assert not list(tmp_path.glob("*.*"))
+
+
 def test_tomo_simulate_reconstruct_closed_loop(tmp_path):
     rc = main(["tomo", "simulate", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -842,7 +869,8 @@ def test_key_error_is_not_a_usage_error(monkeypatch):
 # --- option declarations --------------------------------------------------
 
 # Each subcommand's options as declared before the subcommands shared their
-# declarations, less tomo convert's --p/--v/--phi, which it never read:
+# declarations, less tomo convert's --p/--v/--phi and hom synth's --n, which
+# they never read:
 # dest -> (option strings, default, required, type, choices).
 COMMON_OPTIONS = {
     "config": (("--config",), None, False, None, None),
@@ -901,7 +929,6 @@ OPTIONS = {
         "points": (("--points",), 241, False, "int", None),
     },
     "hom synth": {
-        "n": (("--n",), 1.0, False, "float", None),
         "v": (("--v",), 0.934, False, "float", None),
         "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
         "tauc_ps": (("--tauc-ps",), 2.4, False, "float", None),

@@ -107,30 +107,13 @@ def test_analytic_derivative_matches_finite_difference():
         assert sset.dn_dlam(lam, 120.0) == pytest.approx(fd, rel=1e-7)
 
 
-@pytest.mark.parametrize("name", BUNDLED_SETS + sorted(TOY_COEFFICIENTS))
-def test_temperature_derivative_matches_central_difference(name):
-    # every bundled set has nonzero b1..b3, so each term of d(n^2)/df is
-    # exercised; the temperature-free toy forms give exactly 0
-    toy = name in TOY_COEFFICIENTS
-    sset = toy_set(name, TOY_COEFFICIENTS[name]) if toy \
-        else load_sellmeier(name)
-    h = 1e-3
-    for lam in (0.775, 1.45, 1.55, 1.65):
-        for t in (25.0, 115.0, 180.0):
-            fd = (sset.index(lam, t + h) - sset.index(lam, t - h)) / (2 * h)
-            if toy:
-                assert sset.dn_dT(lam, t) == 0.0 == fd
-            else:
-                assert sset.dn_dT(lam, t) == pytest.approx(fd, rel=1e-6)
-
-
 @pytest.mark.parametrize("form", ["edwards"] + sorted(TOY_COEFFICIENTS))
 def test_array_call_equals_elementwise_scalar_calls(form):
     sset = (load_sellmeier("cln_e_edwards1984") if form == "edwards"
             else toy_set(form, TOY_COEFFICIENTS[form]))
     lams = np.linspace(1.3, 1.8, 57).reshape(3, 19)
     t = 118.0
-    for evaluate in (sset.index, sset.dn_dlam, sset.dn_dT):
+    for evaluate in (sset.index, sset.dn_dlam):
         many = evaluate(lams, t)
         assert isinstance(many, np.ndarray) and many.shape == lams.shape
         each = np.array([[evaluate(float(lam), t) for lam in row]

@@ -444,6 +444,9 @@ def test_scan_rejects_nonfinite_values_naming_the_field(field, bad):
 
 
 def test_params_validation():
+    for n_rate in (0.0, -1.0):
+        with pytest.raises(ValueError, match="N must be > 0"):
+            HomParams(N=n_rate, V=0.5, delta_omega=1e13, tau_c=1e-12)
     with pytest.raises(ValueError):
         HomParams(N=1.0, V=1.2, delta_omega=1e13, tau_c=1e-12)
     with pytest.raises(ValueError):

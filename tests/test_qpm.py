@@ -18,9 +18,8 @@ from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError, WavelengthRangeError)
 from freqbin.qpm import (_CROSSING_TOL_C, _PAIR_TOL, Branch, CrystalSpec,
                          PhaseMatchPoint, PolingSegment, _bracketed_root,
-                         _newton_crossing, delta_k, crossing_temperature,
-                         load_crystal, solve_period, solve_signal_idler,
-                         tuning_curve)
+                         delta_k, crossing_temperature, load_crystal,
+                         solve_period, solve_signal_idler, tuning_curve)
 
 from conftest import PAIRINGS, const_set, design_crystal
 
@@ -261,10 +260,12 @@ def test_pair_root_properties(pairing, t_c, segment):
 
 @settings(max_examples=25)
 @given(pairing=st.sampled_from(sorted(PAIRINGS)),
-       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53))
-def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um):
+       t0_c=st.floats(50.0, 170.0), signal_um=st.floats(1.49, 1.53),
+       half_c=st.floats(5.0, 20.0))
+def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um,
+                                                half_c):
     spec = design_crystal(pairing, t0_c=t0_c, signal_um=signal_um)
-    t_bracket = (t0_c - 20.0, t0_c + 20.0)
+    t_bracket = (t0_c - half_c, t0_c + half_c)
     nu_p = C / spec.pump_wavelength
 
     def gap(t):
@@ -277,14 +278,14 @@ def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um):
         <= _CROSSING_TOL_C
 
 
-def test_crossing_hands_over_to_the_bracket_search():
+def test_crossing_is_found_past_a_vertex_of_the_mismatch():
     # n_o^2 = 5.2901 - 1e-4 (T - 100)^2 (sellmeier_t with only a1, b1 and
     # t0 = -t1 = 100) against a constant n_e = 2.2: both signals are
     # Lambda_j (n_o - n_e), so the segments cross where n_o = 2.3, at
-    # T = 99 and 101 C, and the gap is even about its 100 C vertex. The
-    # regula falsi start of [99.5, 120] C lies 0.46 C below the vertex,
-    # where the gap is still falling, so Newton's first step goes below
-    # 99.5 C; the gap's Illinois search then finds 101 C.
+    # T = 99 and 101 C, and the searched mismatch peaks near the 100 C
+    # vertex. The bracket [99.5, 120] C holds that peak and the 101 C
+    # crossing: the search starts on the rising side of the peak and must
+    # still close in on 101 C.
     o = SellmeierSet(name="vertex_o", axis=Axis.ORDINARY, form="sellmeier_t",
                      coefficients={"a1": 5.2901, "b1": -1e-4, "t0": 100.0,
                                    "t1": -100.0},
@@ -308,15 +309,29 @@ def test_crossing_hands_over_to_the_bracket_search():
         return sum(C / solve_signal_idler(mod, j).signal_wavelength
                    for j in range(2)) - nu_p
 
-    ends = [[solve_signal_idler(dataclasses.replace(spec, temperature=t), j)
-             for j in range(2)] for t in t_bracket]
-    assert _newton_crossing(
-        spec, t_bracket, [gap(t) for t in t_bracket],
-        [pair[0].signal_wavelength for pair in ends]) is None
     t_star = crossing_temperature(spec, t_bracket)
     assert abs(t_star - _bisect(gap, *t_bracket, _CROSSING_TOL_C)) \
         <= _CROSSING_TOL_C
     assert t_star == pytest.approx(101.0, abs=1e-8)
+
+
+def test_no_crossing_reports_the_mismatch_at_the_bracket_ends(default_spec):
+    # the crossing is the root of segment 1's mismatch at segment 0's
+    # idler; a bracket without one reports that mismatch at its ends
+    t_bracket = (60.0, 70.0)
+
+    def h(t):
+        at = dataclasses.replace(default_spec, temperature=t)
+        pair0 = solve_signal_idler(at, 0)
+        return delta_k(at, at.field(at.pump_wavelength, at.pump_polarization),
+                       at.field(pair0.idler_wavelength, "H"),
+                       at.field(pair0.signal_wavelength, "V"),
+                       period=at.segments[1].period)
+
+    with pytest.raises(NoPhaseMatchError, match="rad/m") as exc:
+        crossing_temperature(default_spec, t_bracket)
+    assert [exc.value.dk_min, exc.value.dk_max] == pytest.approx(
+        sorted(map(h, t_bracket)), rel=1e-9)
 
 
 # --- frozen behavior of the bundled crystal --------------------------------
