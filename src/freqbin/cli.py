@@ -260,6 +260,8 @@ def _hom(args, n_rate=1.0):
     from .hom import HomParams
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, not {args.points}")
+    if not args.range_ps > 0.0:
+        raise ValueError(f"--range-ps must be positive, not {args.range_ps:g}")
     params = HomParams(n_rate, args.v, math.tau * args.dw_thz * 1e12,
                        args.tauc_ps * 1e-12, args.tau0_fs * 1e-15)
     r = args.range_ps * 1e-12

@@ -1,8 +1,9 @@
 """Refractive index, wavenumber, and group index of the nonlinear crystal.
 
 Coefficient sets are data, not code: each set ships as a JSON file (see
-``freqbin/data/sellmeier/``) naming its functional form, coefficients,
-validity ranges, and literature source. Bundled defaults are the
+``freqbin/data/sellmeier/``) holding the coefficients of one formula, the
+temperature-dependent two-pole Sellmeier equation, with their validity
+ranges and literature source. Bundled defaults are the
 temperature-dependent congruent LiNbO3 equations of Edwards & Lawrence,
 Opt. Quantum Electron. 16, 373 (1984), both axes; alternates from Jundt,
 Opt. Lett. 22, 1553 (1997) (extraordinary, congruent) and Gayer et al.,
@@ -41,19 +42,15 @@ class Polarization(str, enum.Enum):
         return Polarization.V if self is Polarization.H else Polarization.H
 
 
-# the coefficient names each index form reads (lam in um, T in deg C)
-_COEFFICIENT_NAMES = {
-    "constant": ("n0",),
-    "linear": ("n0", "n1"),
-    "quadratic": ("n0", "n1", "n2"),
-    "sellmeier_t": ("a1", "a2", "a3", "a4", "a5", "a6",
-                    "b1", "b2", "b3", "b4", "t0", "t1"),
-}
+# the coefficient names the index formula reads (lam in um, T in deg C)
+_COEFFICIENT_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6",
+                      "b1", "b2", "b3", "b4", "t0", "t1")
 
 
 @dataclass(frozen=True)
 class SellmeierSet:
-    """One axis' index model: functional form + named coefficients + ranges.
+    """One axis' index model: named coefficients of the temperature-dependent
+    two-pole Sellmeier formula, and its validity ranges.
 
     Parameters
     ----------
@@ -61,21 +58,13 @@ class SellmeierSet:
         Identifier, e.g. ``"cln_e_edwards1984"``.
     axis : Axis
         Crystal axis this set describes.
-    form : str
-        One of ``constant | linear | quadratic | sellmeier_t``.
     coefficients : dict
-        Named reals. For ``sellmeier_t``: a1..a6, b1..b4, t0, t1 giving
+        Named reals a1..a6, b1..b4, t0, t1 giving (lam in um, T in deg C)
         n^2 = a1 + b1 f + (a2+b2 f)/(lam^2-(a3+b3 f)^2)
                  + (a4+b4 f)/(lam^2-a5^2) - a6 lam^2,  f=(T-t0)(T+t1).
-        Toy forms: constant n = n0; linear n = n0 + n1*lam; quadratic
-        n = n0 + n1*(lam-n2)^2 (lam in um throughout). A name the form
-        does not read raises ValueError; a name it reads but the dict
-        omits is 0. The stored dict holds exactly the form's names, as
-        floats.
-    temperature_form : str
-        ``"product_offset"`` (the f=(T-t0)(T+t1) dependence) for
-        ``sellmeier_t``, ``"none"`` for the temperature-free toy forms; the
-        form fixes it, and any other value raises ValueError.
+        Any other name raises ValueError; a name the dict omits is 0, so
+        {"a1": n0**2} is a dispersionless index n0. The stored dict holds
+        exactly the twelve names, as floats.
     valid_wavelength_um, valid_temperature_C : tuple of float
         Inclusive validity ranges.
     source : str
@@ -84,42 +73,27 @@ class SellmeierSet:
 
     name: str
     axis: Axis
-    form: str
     coefficients: dict
-    temperature_form: str
     valid_wavelength_um: tuple
     valid_temperature_C: tuple
     source: str = ""
 
     def __post_init__(self):
-        if self.form not in _COEFFICIENT_NAMES:
-            raise ValueError(f"unknown index form '{self.form}'")
-        t_form = "product_offset" if self.form == "sellmeier_t" else "none"
-        if self.temperature_form != t_form:
-            raise ValueError(f"{self.name}: form '{self.form}' takes "
-                             f"temperature_form '{t_form}', not "
-                             f"'{self.temperature_form}'")
-        names = _COEFFICIENT_NAMES[self.form]
-        unknown = sorted(set(self.coefficients) - set(names))
+        object.__setattr__(self, "axis", Axis(self.axis))
+        unknown = sorted(set(self.coefficients) - set(_COEFFICIENT_NAMES))
         if unknown:
-            raise ValueError(f"{self.name}: form '{self.form}' reads no "
+            raise ValueError(f"{self.name}: the index formula reads no "
                              f"coefficient {unknown}; it reads "
-                             f"{list(names)}")
+                             f"{list(_COEFFICIENT_NAMES)}")
         object.__setattr__(self, "coefficients", {
-            key: float(self.coefficients.get(key, 0.0)) for key in names})
+            key: float(self.coefficients.get(key, 0.0))
+            for key in _COEFFICIENT_NAMES})
 
     def index(self, lam_um, t_c):
         """n(lam, T) for a scalar or array ``lam_um`` [um] at ``t_c``
         [deg C]; array and elementwise scalar calls agree bit for bit.
         No range check: see ``check_range``."""
         c = self.coefficients
-        if self.form == "constant":
-            return np.full(np.shape(lam_um), c["n0"])[()]
-        if self.form == "linear":
-            return c["n0"] + c["n1"] * lam_um
-        if self.form == "quadratic":
-            d = lam_um - c["n2"]
-            return c["n0"] + c["n1"] * d * d
         f = (t_c - c["t0"]) * (t_c + c["t1"])
         lam2 = lam_um * lam_um
         pole1 = c["a3"] + c["b3"] * f
@@ -132,12 +106,6 @@ class SellmeierSet:
     def dn_dlam(self, lam_um, t_c):
         """Analytic dn/dlam [1/um], for the arguments ``index`` takes."""
         c = self.coefficients
-        if self.form == "constant":
-            return np.zeros(np.shape(lam_um))[()]
-        if self.form == "linear":
-            return np.full(np.shape(lam_um), c["n1"])[()]
-        if self.form == "quadratic":
-            return 2.0 * c["n1"] * (lam_um - c["n2"])
         f = (t_c - c["t0"]) * (t_c + c["t1"])
         lam2 = lam_um * lam_um
         pole1 = c["a3"] + c["b3"] * f
@@ -262,6 +230,11 @@ def _read_json(kind: str, source) -> dict:
     return _parse_json(path.read_text(encoding="utf-8"), path)
 
 
+# the top-level keys of a Sellmeier file
+_SELLMEIER_KEYS = ("name", "axis", "coefficients", "valid_wavelength_um",
+                   "valid_temperature_C", "source")
+
+
 def load_sellmeier(source) -> SellmeierSet:
     """Load a SellmeierSet from a JSON file path or a bundled name.
 
@@ -269,13 +242,15 @@ def load_sellmeier(source) -> SellmeierSet:
     ``"cln_e_edwards1984"``.
     """
     raw = _read_json("sellmeier", source)
+    unknown = sorted(set(raw) - set(_SELLMEIER_KEYS))
+    if unknown:
+        raise ValueError(f"{raw.where}: unknown key(s) {unknown}; a "
+                         f"Sellmeier file holds {list(_SELLMEIER_KEYS)}")
     coefficients = raw.object("coefficients")
     return SellmeierSet(
         name=raw["name"],
-        axis=Axis(raw["axis"]),
-        form=raw.get("form", "sellmeier_t"),
+        axis=raw["axis"],
         coefficients={k: coefficients.number(k) for k in coefficients},
-        temperature_form=raw.get("temperature_form", "product_offset"),
         valid_wavelength_um=raw.bounds("valid_wavelength_um"),
         valid_temperature_C=raw.bounds("valid_temperature_C"),
         source=raw.get("source", ""),

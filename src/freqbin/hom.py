@@ -42,6 +42,8 @@ class HomParams:
             raise ValueError("N must be > 0")
         if not 0.0 <= self.V <= 1.0:
             raise ValueError("V must be in [0, 1]")
+        if not self.delta_omega > 0.0:
+            raise ValueError("delta_omega must be > 0")
         if not self.tau_c > 0.0:
             raise ValueError("tau_c must be > 0")
 
@@ -213,7 +215,8 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
     power above the Poisson noise, and one linear fit gives N, V, the
     fringe phase and a first-order shift of that centre; tau_offset is the
     dip of that phase nearest the shifted centre. A dict ``init``
-    overrides it entry by entry.
+    overrides it entry by entry. The model is even in delta_omega and
+    tau_c, so both are reported as magnitudes.
 
     Flags: ``V_clipped`` when V left [0, 1]; ``delta_omega_unidentifiable``
     and ``envelope_unidentifiable`` (tau_c and tau_offset) when V lies
@@ -288,7 +291,7 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
         if gained <= 1e-12 * max(cost, 1e-30):
             break
 
-    theta[3] = abs(theta[3])
+    theta[2:4] = np.abs(theta[2:4])
     last = {"last_iterate": dict(zip(_PARAM_NAMES, theta)),
             "residual": np.sqrt(cost)}
     if gained > 1e-12 * max(cost, 1e-30):

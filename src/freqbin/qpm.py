@@ -90,7 +90,8 @@ class CrystalSpec:
     """The physical device: ordered segments + operating conditions.
 
     axis_map fixes the (total) polarization->axis assignment; sellmeier maps
-    each referenced axis to its coefficient set. A mapping whose keys (and
+    each referenced axis to its coefficient set, and a set filed under an
+    axis it does not describe raises ValueError. A mapping whose keys (and
     axis_map's values) are already the enums is kept as given, so the specs
     that ``replace`` derives share their maps instead of each holding
     copies. The pump polarization is a stored field because the type-II
@@ -123,6 +124,11 @@ class CrystalSpec:
         for axis in set(amap.values()):
             if axis not in smap:
                 raise ValueError(f"no SellmeierSet for axis '{axis.value}'")
+        for axis, sset in smap.items():
+            if sset.axis is not axis:
+                raise ValueError(f"SellmeierSet '{sset.name}' describes the "
+                                 f"{sset.axis.value} axis but is filed "
+                                 f"under '{axis.value}'")
         object.__setattr__(self, "sellmeier", smap)
         object.__setattr__(self, "pump_polarization",
                            Polarization(self.pump_polarization))

@@ -1,7 +1,8 @@
 """Shared fixtures: the default crystal, its reduced state, and toy models.
 
-Toy crystals use the constant/linear/quadratic index forms so solver results
-have closed-form oracles (see individual tests for the arithmetic).
+Toy crystals build on the one index formula: a set with only a1 = n0^2 is
+a dispersionless index n0, so solver results have closed-form oracles (see
+individual tests for the arithmetic).
 """
 import dataclasses
 
@@ -62,8 +63,8 @@ def default_state(default_spec):
 
 
 def const_set(name, axis, n0, lam_range=(0.2, 6.0), t_range=(-50.0, 500.0)):
-    return SellmeierSet(name=name, axis=axis, form="constant",
-                        coefficients={"n0": n0}, temperature_form="none",
+    """Dispersionless set: index exactly n0, dn/dlam -0.0."""
+    return SellmeierSet(name=name, axis=axis, coefficients={"a1": n0 * n0},
                         valid_wavelength_um=lam_range,
                         valid_temperature_C=t_range)
 
@@ -81,22 +82,24 @@ def const_crystal():
 
 @pytest.fixture(scope="session")
 def quad_crystal():
-    """Pump-centered parabolic index, shared by both polarizations.
+    """Type-0 crystal: the Edwards extraordinary set on both polarizations.
 
-    n = 2.2 - 0.05 (lam - lam_p)^2 makes the mismatch exactly symmetric
-    under signal<->idler exchange with its minimum at degeneracy, so a
-    suitable period puts one mirrored root pair in the bracket.
+    Signal and idler share one index, so the mismatch is symmetric under
+    signal<->idler exchange: the period that phase-matches 1450 nm at the
+    default pump also matches its 1664.8 nm idler, and the default bracket
+    holds that mirrored root pair.
     """
-    quad = SellmeierSet(name="quad", axis=Axis.EXTRAORDINARY,
-                        form="quadratic",
-                        coefficients={"n0": 2.2, "n1": -0.05, "n2": 0.775},
-                        temperature_form="none",
-                        valid_wavelength_um=(0.3, 3.0),
-                        valid_temperature_C=(-50.0, 500.0))
-    return CrystalSpec(segments=(PolingSegment(22.0e-6, 20e-3),),
-                       temperature=25.0, pump_wavelength=775e-9,
-                       axis_map={"H": "extraordinary", "V": "extraordinary"},
-                       sellmeier={"extraordinary": quad})
+    base = load_crystal("default")
+    spec = dataclasses.replace(
+        base, name="type0", axis_map={"H": "extraordinary",
+                                      "V": "extraordinary"},
+        sellmeier={"extraordinary": load_sellmeier("cln_e_edwards1984")},
+        segments=(PolingSegment(1e-5, 20e-3),))
+    lam_p, lam_s = base.pump_wavelength, 1.45e-6
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    period = solve_period(spec, PhaseMatchPoint(
+        lam_p, lam_s, lam_i, Polarization.H, Polarization.V, 0.0))
+    return dataclasses.replace(spec, segments=(PolingSegment(period, 20e-3),))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 from freqbin.cli import _build_parser, main
 from freqbin.entanglement import mode_convert, rho_freq
 from freqbin.hom import HomParams, synthesize_scan
-from freqbin.qpm import Branch
+from freqbin.qpm import Branch, load_crystal, solve_signal_idler
 
 PAIR_120 = {0: (1504.3894, 1598.4627), 1: (1592.7616, 1509.4744)}
 
@@ -106,11 +106,35 @@ def test_qpm_tune_temperature_sweep(tmp_path):
     assert float(rows[1][1]) == pytest.approx(PAIR_120[0][0], abs=1e-3)
 
 
-def test_qpm_tune_requires_exactly_one_sweep(tmp_path):
+def test_qpm_tune_requires_exactly_one_sweep(tmp_path, capsys):
     assert main(["qpm", "tune", "--t-from-c", "110", "--t-to-c", "130",
                  "--pump-from-nm", "770", "--pump-to-nm", "780",
                  "--out-dir", str(tmp_path)]) == 2
     assert main(["qpm", "tune", "--out-dir", str(tmp_path)]) == 2
+    # half a sweep
+    for given, needed in (("--t-from-c", "--t-to-c"),
+                          ("--pump-from-nm", "--pump-to-nm")):
+        capsys.readouterr()
+        assert main(["qpm", "tune", given, "110", "--out-dir",
+                     str(tmp_path)]) == 2
+        assert f"{given} requires {needed}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_qpm_tune_pump_sweep(tmp_path):
+    rc = main(["qpm", "tune", "--pump-from-nm", "770", "--pump-to-nm", "780",
+               "--steps", "3", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, header, rows = read_meta_and_rows(tmp_path / "qpm_tune.csv")
+    assert header[0] == "variable"
+    # the variable column is the pump wavelength in nm
+    assert [float(r[0]) for r in rows] == pytest.approx([770.0, 775.0,
+                                                         780.0], rel=1e-12)
+    pt = solve_signal_idler(load_crystal("default"), 0)
+    assert float(rows[1][1]) == pytest.approx(pt.signal_wavelength * 1e9,
+                                              rel=1e-11)
+    assert float(rows[1][2]) == pytest.approx(pt.idler_wavelength * 1e9,
+                                              rel=1e-11)
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,6 +410,29 @@ def test_short_csv_row_is_usage_error(tmp_path, capsys):
     assert str(scan) in err["message"] and "row 2" in err["message"]
 
 
+@pytest.mark.parametrize("command, flag, text, needle", [
+    (["hom", "fit"], "--scan", "tau_fs,counts,sigma\n", "no data rows"),
+    (["hom", "fit"], "--scan", "tau_fs,sigma\n1,2\n",
+     "scan file lacks required column 'counts'"),
+    (["tomo", "reconstruct"], "--data", "# seed: 1\nsetting_id,proj_a\n",
+     "no data rows"),
+    (["tomo", "reconstruct"], "--data",
+     "setting_id,proj_a,counts\n0,h,5\n",
+     "dataset lacks required column 'proj_b'")],
+    ids=["scan_empty", "scan_column", "counts_empty", "counts_column"])
+def test_csv_without_rows_or_column_is_usage_error(tmp_path, capsys,
+                                                   command, flag, text,
+                                                   needle):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    rc = main(command + [flag, str(path), "--error-json", "--out-dir",
+                         str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and needle in err["message"]
+    assert not list(tmp_path.glob("*.json"))
+
+
 # --- tomo -----------------------------------------------------------------
 
 def test_tomo_metrics_working_point(tmp_path, capsys):
@@ -509,6 +556,15 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     (["hom", "model", "--v", "1.5"], "V must be in"),
     (["tomo", "simulate", "--v", "1.5"], "V = 1.5"),
     (["tomo", "simulate", "--p", "1.5"], "p = 1.5"),
+    # a zero range wrote 241 rows at delay 0 and a negative one a
+    # decreasing grid; a splitting of -11.5 THz wrote the +11.5 THz curve
+    (["hom", "model", "--range-ps", "0"], "--range-ps"),
+    (["hom", "model", "--range-ps", "-3"], "--range-ps"),
+    (["hom", "synth", "--range-ps", "0"], "--range-ps"),
+    (["hom", "synth", "--range-ps", "-3"], "--range-ps"),
+    (["hom", "model", "--dw-thz", "0"], "delta_omega must be > 0"),
+    (["hom", "model", "--dw-thz", "-11.5"], "delta_omega must be > 0"),
+    (["hom", "synth", "--dw-thz", "-11.5"], "delta_omega must be > 0"),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):
@@ -538,6 +594,21 @@ def test_tomo_simulate_reconstruct_closed_loop(tmp_path):
     diagnostics = payload["diagnostics"]
     assert set(diagnostics) == {"log_likelihood", "n_iter", "certified_gap"}
     assert diagnostics["certified_gap"] <= 1e-6
+
+
+def test_tomo_reconstruct_unknown_projection_pair_is_usage_error(tmp_path,
+                                                                  capsys):
+    main(["tomo", "simulate", "--out-dir", str(tmp_path)])
+    path = tmp_path / "tomo_counts.csv"
+    path.write_text(path.read_text().replace(",h,h,", ",h,x,", 1))
+    capsys.readouterr()
+    rc = main(["tomo", "reconstruct", "--data", str(path), "--error-json",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "TomographyDataError"
+    assert "('h', 'x') not in set 'james16'" in err["message"]
+    assert not (tmp_path / "tomo_rho.json").exists()
 
 
 @pytest.mark.parametrize("setting, count", [(0, 5), (3, 1)])
@@ -669,6 +740,20 @@ def test_config_supplies_required_options_and_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("flag, needle", [("--rho", "no such file"),
+                                          ("--config", "no such config file")])
+def test_missing_rho_or_config_file_is_usage_error(tmp_path, capsys, flag,
+                                                   needle):
+    missing = tmp_path / "nope.json"
+    rc = main(["tomo", "metrics", flag, str(missing), "--error-json",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "usage" and err["error"] == "FileNotFoundError"
+    assert f"{needle}: {missing}" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FREQBIN_OUT_DIR", str(tmp_path / "envdir"))
     assert main(["hom", "model"]) == 0
@@ -708,12 +793,15 @@ def broken_input(tmp_path, case):
         path.write_text(json.dumps(payload))
         return path
 
-    def solve(drop=None, sellmeier=None):
+    def solve(drop=None, sellmeier=None, swap=False):
         crystal = bundled("crystals", "default")
         crystal.pop(drop, None)
+        files = crystal["sellmeier_files"]
+        if swap:
+            files["extraordinary"], files["ordinary"] = (
+                files["ordinary"], files["extraordinary"])
         if sellmeier:
-            crystal["sellmeier_files"]["extraordinary"] = str(
-                write("sellmeier.json", sellmeier))
+            files["extraordinary"] = str(write("sellmeier.json", sellmeier))
         return ["qpm", "solve", "--crystal",
                 str(write("crystal.json", crystal))]
 
@@ -725,6 +813,8 @@ def broken_input(tmp_path, case):
         del sellmeier["valid_temperature_C"]
         return (solve(sellmeier=sellmeier), tmp_path / "sellmeier.json",
                 "valid_temperature_C")
+    if case == "swapped":   # each set filed under the other's axis
+        return solve(swap=True), None, "cln_o_edwards1984"
     if case == "coefficient":   # its error names the set, not the file
         coefficients = sellmeier["coefficients"]
         coefficients["A2"] = coefficients.pop("a2")
@@ -744,11 +834,12 @@ def broken_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["sellmeier", "crystal", "projectors",
-                                  "rho", "coefficient", "ket"])
+                                  "rho", "coefficient", "ket", "swapped"])
 def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
                                                            capsys, case):
     # a missing key used to escape as a bare KeyError ("error: 'pump_nm'"),
-    # and a misspelled coefficient name was dropped without a word
+    # a misspelled coefficient name was dropped without a word, and swapped
+    # Sellmeier files failed later (exit 1) without naming the swap
     argv, path, key = broken_input(tmp_path, case)
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
     assert rc == 2

@@ -3,9 +3,9 @@
 Hard numbers for the bundled extraordinary/ordinary sets were frozen from an
 independent evaluation of the published coefficient polynomials. A set's
 own evaluation is checked against an independent in-test reimplementation
-of the two-pole form, the closed forms of the toy sets, and a central
-difference of n for the analytic dn/dlam; its array calls must equal its
-elementwise scalar calls exactly, for every form.
+of the two-pole formula, the closed forms of toy sets built from it, and a
+central difference of n for the analytic dn/dlam; its array calls must
+equal its elementwise scalar calls exactly.
 """
 import json
 from importlib import resources
@@ -25,16 +25,17 @@ from conftest import const_set
 BUNDLED_SETS = ["cln_e_edwards1984", "cln_o_edwards1984", "cln_e_jundt1997",
                 "mgo_cln_e_gayer2008", "mgo_cln_o_gayer2008"]
 
+# toy sets of the two-pole formula: a dispersionless index (only a1), and
+# an index whose square is linear in lam^2 (only a1 and a6)
 TOY_COEFFICIENTS = {
-    "constant": {"n0": 2.31},
-    "linear": {"n0": 2.2, "n1": 0.03},
-    "quadratic": {"n0": 2.2, "n1": -0.05, "n2": 0.775},
+    "constant": {"a1": 2.31 ** 2},
+    "linear": {"a1": 4.9, "a6": 0.02},
 }
 
 
-def toy_set(form, coefficients):
-    return SellmeierSet(name=form, axis=Axis.EXTRAORDINARY, form=form,
-                        coefficients=coefficients, temperature_form="none",
+def toy_set(name, coefficients):
+    return SellmeierSet(name=name, axis=Axis.EXTRAORDINARY,
+                        coefficients=coefficients,
                         valid_wavelength_um=(0.2, 6.0),
                         valid_temperature_C=(-50.0, 500.0))
 
@@ -81,23 +82,6 @@ def test_independent_sellmeier_reimplementation():
                                                        rel=1e-15)
 
 
-@pytest.mark.parametrize("form", sorted(TOY_COEFFICIENTS))
-def test_toy_form_closed_forms(form):
-    sset = toy_set(form, TOY_COEFFICIENTS[form])
-    lam, t = 1.4, 50.0
-    n, dn = sset.index(lam, t), sset.dn_dlam(lam, t)
-    if form == "constant":
-        assert n == 2.31
-        assert dn == 0.0
-    elif form == "linear":
-        assert n == pytest.approx(2.2 + 0.03 * lam, rel=1e-15)
-        assert dn == pytest.approx(0.03, rel=1e-15)
-    else:
-        assert n == pytest.approx(2.2 - 0.05 * (lam - 0.775) ** 2,
-                                  rel=1e-15)
-        assert dn == pytest.approx(-0.1 * (lam - 0.775), rel=1e-15)
-
-
 def test_analytic_derivative_matches_finite_difference():
     sset = load_sellmeier("cln_e_edwards1984")
     h = 1e-6
@@ -107,10 +91,10 @@ def test_analytic_derivative_matches_finite_difference():
         assert sset.dn_dlam(lam, 120.0) == pytest.approx(fd, rel=1e-7)
 
 
-@pytest.mark.parametrize("form", ["edwards"] + sorted(TOY_COEFFICIENTS))
-def test_array_call_equals_elementwise_scalar_calls(form):
-    sset = (load_sellmeier("cln_e_edwards1984") if form == "edwards"
-            else toy_set(form, TOY_COEFFICIENTS[form]))
+@pytest.mark.parametrize("name", ["edwards"] + sorted(TOY_COEFFICIENTS))
+def test_array_call_equals_elementwise_scalar_calls(name):
+    sset = (load_sellmeier("cln_e_edwards1984") if name == "edwards"
+            else toy_set(name, TOY_COEFFICIENTS[name]))
     lams = np.linspace(1.3, 1.8, 57).reshape(3, 19)
     t = 118.0
     for evaluate in (sset.index, sset.dn_dlam):
@@ -129,16 +113,13 @@ def test_unknown_coefficient_names_are_rejected():
     coefficients["A2"] = coefficients.pop("a2")
     with pytest.raises(ValueError, match="'A2'"):
         SellmeierSet(name=raw["name"], axis=Axis.EXTRAORDINARY,
-                     form="sellmeier_t", coefficients=coefficients,
-                     temperature_form="product_offset",
+                     coefficients=coefficients,
                      valid_wavelength_um=(0.4, 3.1),
                      valid_temperature_C=(20.0, 250.0))
-    # a constant set reads only n0
-    with pytest.raises(ValueError, match="'a1'"):
-        toy_set("constant", {"n0": 2.3, "a1": 5})
-    # names the form reads but the dict omits are 0
-    assert toy_set("quadratic", {"n0": 2.2}).coefficients == {
-        "n0": 2.2, "n1": 0.0, "n2": 0.0}
+    # names the formula reads but the dict omits are 0
+    coefficients = toy_set("constant", {"a1": 5.3}).coefficients
+    assert coefficients.pop("a1") == 5.3
+    assert len(coefficients) == 11 and set(coefficients.values()) == {0.0}
 
 
 def test_bundled_files_list_every_coefficient_their_form_reads():
@@ -204,36 +185,21 @@ def test_wavenumber_matches_index_times_two_pi_over_lambda():
 def test_group_index_constant_set_equals_n():
     sset = const_set("c", Axis.ORDINARY, 2.31)
     fld = OpticalField(1.4e-6, "V", 25.0)
-    assert group_index(fld, sset) == pytest.approx(2.31, abs=1e-12)
+    assert refractive_index(fld, sset) == 2.31
+    assert sset.dn_dlam(1.4, 25.0) == 0.0
     assert group_index(fld, sset, method="analytic") == 2.31
 
 
 def test_group_index_linear_set_closed_form():
-    # n = n0 + n1*lam  ->  n_g = n - lam dn/dlam = n0 exactly
-    sset = SellmeierSet(name="lin", axis=Axis.EXTRAORDINARY, form="linear",
-                        coefficients={"n0": 2.2, "n1": 0.03},
-                        temperature_form="none",
-                        valid_wavelength_um=(0.2, 6.0),
-                        valid_temperature_C=(-50.0, 500.0))
-    fld = OpticalField(1.7e-6, "H", 25.0)
-    assert group_index(fld, sset, method="analytic") == pytest.approx(
-        2.2, abs=1e-14)
-    assert group_index(fld, sset) == pytest.approx(2.2, abs=1e-9)
-
-
-def test_group_index_quadratic_set_closed_form():
-    n0, n1, n2 = 2.2, -0.05, 0.775
-    sset = SellmeierSet(name="quad", axis=Axis.EXTRAORDINARY,
-                        form="quadratic",
-                        coefficients={"n0": n0, "n1": n1, "n2": n2},
-                        temperature_form="none",
-                        valid_wavelength_um=(0.3, 3.0),
-                        valid_temperature_C=(-50.0, 500.0))
-    lam = 1.4
-    expected = n0 + n1 * (lam - n2) ** 2 - 2.0 * n1 * lam * (lam - n2)
+    # n^2 = a1 - a6 lam^2  ->  dn/dlam = -a6 lam/n, n_g = a1/n
+    sset = toy_set("linear", TOY_COEFFICIENTS["linear"])
+    lam = 1.7
     fld = OpticalField(lam * 1e-6, "H", 25.0)
-    assert group_index(fld, sset, method="analytic") == pytest.approx(
-        expected, abs=1e-13)
+    n = np.sqrt(4.9 - 0.02 * lam ** 2)
+    assert refractive_index(fld, sset) == pytest.approx(n, rel=1e-15)
+    assert sset.dn_dlam(lam, 25.0) == pytest.approx(-0.02 * lam / n,
+                                                    rel=1e-14)
+    assert group_index(fld, sset) == pytest.approx(4.9 / n, rel=1e-14)
 
 
 def test_group_index_matches_central_difference_of_index():
@@ -272,29 +238,21 @@ def test_group_index_finite_at_range_boundary():
             assert np.isfinite(group_index(fld, sset))
 
 
-def test_unknown_method_and_unknown_form():
+def test_unknown_method_and_unknown_form(tmp_path):
     sset = load_sellmeier("cln_e_edwards1984")
     for method in ("spline", "central"):
         with pytest.raises(ValueError, match="unknown method"):
             group_index(OpticalField(1.55e-6, "H", 120.0), sset,
                         method=method)
-    with pytest.raises(ValueError):
-        SellmeierSet(name="x", axis=Axis.ORDINARY, form="cubic",
-                     coefficients={}, temperature_form="none",
-                     valid_wavelength_um=(1, 2), valid_temperature_C=(0, 1))
-
-
-@pytest.mark.parametrize("form, temperature_form", [
-    ("sellmeier_t", "none"), ("sellmeier_t", "linear"),
-    ("constant", "product_offset")])
-def test_temperature_form_must_match_the_index_form(form, temperature_form):
-    # the index forms fix their temperature dependence; a stored value
-    # that disagrees would be silently ignored
-    with pytest.raises(ValueError, match="temperature_form"):
-        SellmeierSet(name="x", axis=Axis.ORDINARY, form=form,
-                     coefficients={"n0": 2.0},
-                     temperature_form=temperature_form,
-                     valid_wavelength_um=(1, 2), valid_temperature_C=(0, 1))
+    # a file of the retired toy forms names its form: it is refused, not
+    # read as a two-pole set
+    raw = {**bundled_json("cln_e_edwards1984"), "form": "cubic",
+           "temperature_form": "none"}
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"unknown key\(s\) \['form', "
+                                         r"'temperature_form'\]"):
+        load_sellmeier(str(path))
 
 
 @pytest.mark.parametrize("loader, kind, name", [

@@ -394,6 +394,20 @@ def test_fit_init_variants():
     part = fit_homi(scan, init={"V": 0.5})
     assert part.init["V"] == 0.5
     assert part.V == pytest.approx(0.934, abs=1e-6)
+    # V = 3 puts N/2 (1 - V cos(...)) below zero near the envelope centre
+    with pytest.raises(FitConvergenceError, match="the start puts the model "
+                       "rate at or below zero") as exc:
+        fit_homi(scan, init={"V": 3.0})
+    assert exc.value.last_iterate["V"] == 3.0
+
+
+def test_fit_from_a_negative_delta_omega_reports_it_positive():
+    # the curve is even in delta_omega, so a start of either sign may end
+    # at -delta_omega; the fit reports its magnitude, as HomParams needs
+    fit = fit_homi(exact_scan(), init={**asdict(TRUE),
+                                       "delta_omega": -TRUE.delta_omega})
+    assert fit.delta_omega == pytest.approx(TRUE.delta_omega, rel=1e-8)
+    assert fit.params().delta_omega == fit.delta_omega
 
 
 def test_fit_result_accessors():
@@ -451,6 +465,11 @@ def test_params_validation():
         HomParams(N=1.0, V=1.2, delta_omega=1e13, tau_c=1e-12)
     with pytest.raises(ValueError):
         HomParams(N=1.0, V=0.5, delta_omega=1e13, tau_c=0.0)
+    # the curve is even in delta_omega: a negative one could not be told
+    # from its positive twin, and BiphotonState makes the same demand
+    for dw in (0.0, -1e13):
+        with pytest.raises(ValueError, match="delta_omega must be > 0"):
+            HomParams(N=1.0, V=0.5, delta_omega=dw, tau_c=1e-12)
     arr = TRUE.as_array()
     assert arr.tolist() == [TRUE.N, TRUE.V, TRUE.delta_omega, TRUE.tau_c,
                             TRUE.tau_offset]

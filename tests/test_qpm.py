@@ -2,9 +2,11 @@
 
 Toy arithmetic (constant indices, pump V->ordinary n_o, signal H->extra n_e,
 idler slaved): dk = 0 reduces to (n_o - n_e)/lam_s = 1/Lambda, i.e.
-lam_s = Lambda (n_o - n_e). A linear signal index n_e = n0 + n1 lam gives
-lam_s = (n_o - n0)/(1/Lambda + n1). The pump-centered quadratic toy is
-symmetric under signal<->idler exchange, so roots come in mirrored pairs.
+lam_s = Lambda (n_o - n_e). A signal index whose square is linear in
+lam^2, n_e^2 = a1 - a6 lam^2, gives the root of
+lam^2 (1/Lambda^2 + a6) - 2 n_o lam/Lambda + n_o^2 - a1 = 0. The type-0
+crystal (one index for signal and idler) is symmetric under signal<->idler
+exchange, so its roots come in mirrored pairs.
 """
 import dataclasses
 
@@ -46,10 +48,10 @@ def test_const_toy_period_round_trip(const_crystal):
 
 
 def test_linear_toy_root_closed_form():
-    n0e, n1e, n_o, lam_um = 2.2, 0.02, 2.3, 22.5
-    e = SellmeierSet(name="lin_e", axis=Axis.EXTRAORDINARY, form="linear",
-                     coefficients={"n0": n0e, "n1": n1e},
-                     temperature_form="none",
+    # n_e^2 = a1 - a6 lam^2 (a two-pole set with only a1 and a6)
+    a1, a6, n_o, lam_um = 4.9, 0.02, 2.3, 15.0
+    e = SellmeierSet(name="lin_e", axis=Axis.EXTRAORDINARY,
+                     coefficients={"a1": a1, "a6": a6},
                      valid_wavelength_um=(0.2, 6.0),
                      valid_temperature_C=(-50.0, 500.0))
     o = const_set("lin_o", Axis.ORDINARY, n_o)
@@ -58,35 +60,32 @@ def test_linear_toy_root_closed_form():
                        axis_map={"H": "extraordinary", "V": "ordinary"},
                        sellmeier={"extraordinary": e, "ordinary": o})
     pt = solve_signal_idler(spec, 0)
-    oracle = (n_o - n0e) / (1.0 / lam_um + n1e)   # um
+    # the smaller root of the quadratic; the other lies near 2 n_o Lambda
+    qa, qb, qc = 1.0 / lam_um ** 2 + a6, -2.0 * n_o / lam_um, n_o ** 2 - a1
+    oracle = 2.0 * qc / (-qb + np.sqrt(qb * qb - 4.0 * qa * qc))   # um
     assert pt.signal_wavelength * 1e6 == pytest.approx(oracle, rel=1e-12)
     assert solve_period(spec, pt) == pytest.approx(lam_um * 1e-6, rel=1e-12)
 
 
-QUAD_BRACKET = (1.25e-6, 2.0e-6)
-
-
 def test_quad_toy_mirrored_roots_need_branch(quad_crystal):
     with pytest.raises(BranchAmbiguityError) as exc:
-        solve_signal_idler(quad_crystal, 0, bracket=QUAD_BRACKET)
+        solve_signal_idler(quad_crystal, 0)
     roots = sorted(exc.value.roots)
     assert len(roots) == 2
-    assert roots[0] * 1e6 == pytest.approx(1.28778, abs=1e-4)
-    assert roots[1] * 1e6 == pytest.approx(1.94631, abs=1e-4)
+    assert roots[0] * 1e9 == pytest.approx(1450.0, abs=1e-6)
+    assert roots[1] * 1e9 == pytest.approx(1664.8148, abs=1e-4)
 
 
 def test_quad_toy_branch_selection_and_conjugacy(quad_crystal):
     lam_deg = 2.0 * quad_crystal.pump_wavelength
-    short = solve_signal_idler(quad_crystal, 0, branch=Branch.SIGNAL_SHORT,
-                               bracket=QUAD_BRACKET)
-    long = solve_signal_idler(quad_crystal, 0, branch=Branch.SIGNAL_LONG,
-                              bracket=QUAD_BRACKET)
+    short = solve_signal_idler(quad_crystal, 0, branch=Branch.SIGNAL_SHORT)
+    long = solve_signal_idler(quad_crystal, 0, branch=Branch.SIGNAL_LONG)
     assert short.signal_wavelength < lam_deg < long.signal_wavelength
     # mirrored pair: one branch's idler is the other's signal
     assert short.idler_wavelength == pytest.approx(long.signal_wavelength,
-                                                   rel=1e-8)
+                                                   rel=1e-12)
     assert long.idler_wavelength == pytest.approx(short.signal_wavelength,
-                                                  rel=1e-8)
+                                                  rel=1e-12)
 
 
 # --- residuals / conservation / errors -------------------------------------
@@ -279,17 +278,16 @@ def test_crossing_temperature_matches_bisection(pairing, t0_c, signal_um,
 
 
 def test_crossing_is_found_past_a_vertex_of_the_mismatch():
-    # n_o^2 = 5.2901 - 1e-4 (T - 100)^2 (sellmeier_t with only a1, b1 and
+    # n_o^2 = 5.2901 - 1e-4 (T - 100)^2 (a set with only a1, b1 and
     # t0 = -t1 = 100) against a constant n_e = 2.2: both signals are
     # Lambda_j (n_o - n_e), so the segments cross where n_o = 2.3, at
     # T = 99 and 101 C, and the searched mismatch peaks near the 100 C
     # vertex. The bracket [99.5, 120] C holds that peak and the 101 C
     # crossing: the search starts on the rising side of the peak and must
     # still close in on 101 C.
-    o = SellmeierSet(name="vertex_o", axis=Axis.ORDINARY, form="sellmeier_t",
+    o = SellmeierSet(name="vertex_o", axis=Axis.ORDINARY,
                      coefficients={"a1": 5.2901, "b1": -1e-4, "t0": 100.0,
                                    "t1": -100.0},
-                     temperature_form="product_offset",
                      valid_wavelength_um=(0.3, 3.0),
                      valid_temperature_C=(-50.0, 500.0))
     lam_p, lam_s = 0.775, 1.5
@@ -457,8 +455,9 @@ def test_tuning_curve_equals_one_solve_per_row(pairing, segment):
 
 
 def test_tuning_curve_branch_rows_equal_one_solve_per_row(quad_crystal):
-    # pumps from 760 to 800 nm move the quad toy's mirrored roots from one
-    # in the signal bracket to two, of which the branch picks one
+    # pumps from 760 to 800 nm take the type-0 crystal from no root in the
+    # signal bracket through one to a mirrored pair, of which the branch
+    # picks one, and past it to none again
     sweep = ("pump_wavelength", (0.76e-6, 0.8e-6), 9)
     for branch in Branch:
         curve = tuning_curve(quad_crystal, 0, *sweep, branch=branch)
@@ -508,6 +507,12 @@ def test_crystal_spec_validation(const_crystal):
                     sellmeier={"extraordinary": e})
     with pytest.raises(TemperatureRangeError):
         dataclasses.replace(const_crystal, temperature=1000.0)
+    # a set filed under the axis it does not describe
+    with pytest.raises(ValueError, match="'o' describes the ordinary axis "
+                       "but is filed under 'extraordinary'"):
+        CrystalSpec(segments=seg, temperature=25.0, pump_wavelength=775e-9,
+                    axis_map={"H": "extraordinary", "V": "ordinary"},
+                    sellmeier={"extraordinary": o, "ordinary": e})
 
 
 def test_crystal_spec_maps_normalized_once(const_crystal):
