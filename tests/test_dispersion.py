@@ -192,14 +192,15 @@ def test_group_index_constant_set_equals_n():
 
 def test_group_index_linear_set_closed_form():
     # n^2 = a1 - a6 lam^2  ->  dn/dlam = -a6 lam/n, n_g = a1/n
-    sset = toy_set("linear", TOY_COEFFICIENTS["linear"])
+    coefficients = TOY_COEFFICIENTS["linear"]
+    a1, a6 = coefficients["a1"], coefficients["a6"]
+    sset = toy_set("linear", coefficients)
     lam = 1.7
     fld = OpticalField(lam * 1e-6, "H", 25.0)
-    n = np.sqrt(4.9 - 0.02 * lam ** 2)
+    n = np.sqrt(a1 - a6 * lam ** 2)
     assert refractive_index(fld, sset) == pytest.approx(n, rel=1e-15)
-    assert sset.dn_dlam(lam, 25.0) == pytest.approx(-0.02 * lam / n,
-                                                    rel=1e-14)
-    assert group_index(fld, sset) == pytest.approx(4.9 / n, rel=1e-14)
+    assert sset.dn_dlam(lam, 25.0) == pytest.approx(-a6 * lam / n, rel=1e-14)
+    assert group_index(fld, sset) == pytest.approx(a1 / n, rel=1e-14)
 
 
 def test_group_index_matches_central_difference_of_index():
