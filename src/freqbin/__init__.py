@@ -24,10 +24,10 @@ _EXPORTS = {
                    "wavenumber"),
     "entanglement": ("DensityMatrix", "Domain", "FREQ_BASIS", "POL_BASIS",
                      "ProjectorSetting", "StateVector", "TomographyDataset",
-                     "TomographyResult", "concurrence", "fidelity",
-                     "ideal_state", "load_projectors", "mle_tomography",
-                     "mode_convert", "rho_freq", "simulate_counts",
-                     "trace_distance"),
+                     "TomographyResult", "concurrence", "conversion_phase",
+                     "fidelity", "ideal_state", "load_projectors",
+                     "mle_tomography", "mode_convert", "rho_freq",
+                     "simulate_counts", "trace_distance"),
     "errors": ("BasisMismatchError", "BinReductionError",
                "BranchAmbiguityError", "FitConvergenceError",
                "FreqbinError", "GridResolutionError", "NoPhaseMatchError",

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dispersion
-from .dispersion import Polarization
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
 from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _bracketed_root,
-                  _check_span, _mismatch, _solve_rows, _solved)
+                  _check_span, _mismatch, _pair_sets, _solve_rows, _solved)
 
 
 def _sinc(x):
@@ -46,9 +45,11 @@ class SpectralAmplitude:
 
     ``omega`` is the H-photon angular frequency [rad/s], symmetric about
     omega_p/2 so that the signal<->idler exchange omega -> omega_p - omega
-    is exactly an array reversal. ``per_segment[j]`` holds segment j's
-    complex amplitude; ``total`` their coherent sum, normalized so that
-    sum(|total|^2) * d_omega = 1.
+    is exactly an array reversal (``grid_meta["omega_p_rad_s"]`` holds
+    omega_p). ``per_segment[j]`` holds segment j's complex amplitude;
+    ``total`` their coherent sum, normalized so that sum(|total|^2) *
+    d_omega = 1. ``segment_geometry[j]`` holds segment j's phase-matched
+    frequency [rad/s] and |n_g,i - n_g,s| (``_group_index_mismatch``).
     """
 
     omega: np.ndarray
@@ -56,6 +57,7 @@ class SpectralAmplitude:
     total: np.ndarray
     grid_meta: dict
     segment_points: tuple = field(repr=False)
+    segment_geometry: tuple = field(repr=False)
 
     @property
     def d_omega(self) -> float:
@@ -110,8 +112,7 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
     |A| = scale * L.
     """
     seg = spec.segments[segment_index]
-    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
-                                          Polarization.H, Polarization.V)))
+    sets = _pair_sets(spec)
     omega = np.asarray(omega_s, dtype=float)
     lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
     t_c, lam_p_um = spec.temperature, spec.pump_wavelength * 1e6
@@ -160,14 +161,12 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     points = _solved(_solve_rows(spec, range(len(spec.segments)),
                                  spec.temperature, spec.pump_wavelength))
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
-    centers = [TWO_PI * C_M_PER_S / p.signal_wavelength for p in points]
-
-    lobe_w = []
-    for p, seg in zip(points, spec.segments):
-        dng = _group_index_mismatch(spec, p)
-        lobe_w.append(2.0 * TWO_PI * C_M_PER_S / (dng * seg.length))
+    geometry = tuple((TWO_PI * C_M_PER_S / p.signal_wavelength,
+                      _group_index_mismatch(spec, p)) for p in points)
+    lobe_w = [2.0 * TWO_PI * C_M_PER_S / (dng * seg.length)
+              for (_, dng), seg in zip(geometry, spec.segments)]
     half_span = max(abs(c - 0.5 * omega_p) + lobes * lw
-                    for c, lw in zip(centers, lobe_w))
+                    for (c, _), lw in zip(geometry, lobe_w))
 
     m = int(n_points) // 2
     dx = half_span / m
@@ -189,9 +188,10 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     total = total / norm
     meta = {"span_rad_s": 2.0 * half_span, "resolution_rad_s": dx,
             "points": int(2 * m + 1), "lobes_margin": float(lobes),
-            "points_per_lobe": float(min_lobe / dx)}
+            "points_per_lobe": float(min_lobe / dx), "omega_p_rad_s": omega_p}
     return SpectralAmplitude(omega=omega, per_segment=per, total=total,
-                             grid_meta=meta, segment_points=tuple(points))
+                             grid_meta=meta, segment_points=tuple(points),
+                             segment_geometry=geometry)
 
 
 def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
@@ -212,16 +212,14 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
             "two-bin reduction requires exactly two emission processes "
             f"(got {sa.per_segment.shape[0]} segments)")
     omega = sa.omega
-    omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
+    omega_p = sa.grid_meta["omega_p_rad_s"]
     sym_err = np.max(np.abs((omega + omega[::-1]) - omega_p))
     if sym_err > 1e-6 * omega_p:
         raise BinReductionError(
             f"grid is not exchange-symmetric about omega_p/2 "
             f"(max asymmetry {sym_err:.3e} rad/s)")
 
-    points = sa.segment_points
-    centers = np.array([TWO_PI * C_M_PER_S / p.signal_wavelength
-                        for p in points])
+    centers, dng = zip(*sa.segment_geometry)
     hi = int(np.argmax(centers))        # process with H photon in bin 1
     lo = 1 - hi
 
@@ -230,7 +228,6 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     w2 = 0.5 * (centers[lo] + (omega_p - centers[hi]))
     delta_omega = w1 - w2
 
-    dng = [_group_index_mismatch(spec, p) for p in points]
     widths = [dng[j] * spec.segments[j].length / C_M_PER_S for j in range(2)]
     fwhm = [2.0 * 2.783115 / w for w in widths]   # sinc^2 FWHM in rad/s
     if delta_omega <= 5.0 * max(fwhm):

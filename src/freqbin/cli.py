@@ -21,12 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import (BinReductionError, BranchAmbiguityError,
-                     FitConvergenceError, GridResolutionError,
-                     NoPhaseMatchError, TomographyDataError)
+from .errors import FreqbinError
 
-_NUMERICAL = (NoPhaseMatchError, BranchAmbiguityError, FitConvergenceError,
-              BinReductionError, GridResolutionError)
 _USAGE = (FileNotFoundError, IsADirectoryError, ValueError)
 # namespace entries left out of each output's recorded configuration
 _UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
@@ -320,13 +316,10 @@ def cmd_hom_fit(args) -> int:
 def _rho_from_args(args):
     """The state of ``--rho``, else of ``--p/--v/--phi``, mode-converted
     by ``--tau-fs`` where it is given."""
-    from .dispersion import _parse_json
+    from .dispersion import _json_file
     from .entanglement import DensityMatrix, mode_convert, rho_freq
     if args.rho:
-        path = Path(args.rho)
-        if not path.exists():
-            raise FileNotFoundError(f"no such file: {path}")
-        payload = _parse_json(path.read_text(), path)
+        payload = _json_file(args.rho)
         rho = DensityMatrix.from_json_dict(
             payload.object("rho") if "rho" in payload else payload)
     else:
@@ -356,6 +349,7 @@ def cmd_tomo_reconstruct(args) -> int:
     import numpy as np
     from .entanglement import (TomographyDataset, load_projectors,
                                mle_tomography)
+    from .errors import TomographyDataError
     proj_a, proj_b, counts = _read_columns(
         args.data, ("proj_a", "proj_b", "counts"), "dataset")
     settings = load_projectors(args.projectors)
@@ -397,9 +391,9 @@ def cmd_tomo_metrics(args) -> int:
 
 
 def cmd_tomo_convert(args) -> int:
-    dw = math.tau * float(args.dw_thz) * 1e12
-    tau = float(args.tau_fs) * 1e-15
-    phase = (dw * tau) % math.tau
+    from ._conversion import conversion_phase   # loads no numpy
+    phase = conversion_phase(float(args.tau_fs) * 1e-15,
+                             math.tau * float(args.dw_thz) * 1e12)
     print(f"phase delta_omega*tau = {phase:.6f} rad = "
           f"{phase/math.pi:.4f} pi (mod 2 pi)")
     payload = {"conversion": {"tau_fs": float(args.tau_fs),
@@ -413,9 +407,10 @@ def cmd_tomo_convert(args) -> int:
 
 
 def cmd_tomo_table1(args) -> int:
-    from .entanglement import (Domain, concurrence, fidelity, ideal_state,
-                               load_projectors, mle_tomography, mode_convert,
-                               rho_freq, simulate_counts)
+    from .entanglement import (Domain, concurrence, conversion_phase,
+                               fidelity, ideal_state, load_projectors,
+                               mle_tomography, mode_convert, rho_freq,
+                               simulate_counts)
     from .hom import HomParams, homi_rate
     dw = math.tau * args.dw_thz * 1e12
     taus_fs = [float(t) for t in args.taus_fs.split(",")]
@@ -426,7 +421,7 @@ def cmd_tomo_table1(args) -> int:
     for k, tau_fs in enumerate(taus_fs):
         tau = tau_fs * 1e-15
         i_over_n = homi_rate(beat, tau)
-        phi = (dw * tau) % math.tau
+        phi = conversion_phase(tau, dw)
         rho_p = mode_convert(rho_f, tau, dw)
         f_model = fidelity(rho_p, ideal_state(phi, Domain.POLARIZATION))
         c_model = concurrence(rho_p)
@@ -594,11 +589,8 @@ def _with_config(ap, argv) -> list:
         return argv                # the full parse reports it
     if not config:
         return argv
-    path = Path(config)
-    if not path.exists():
-        raise FileNotFoundError(f"no such config file: {path}")
-    from .dispersion import _parse_json
-    payload = _parse_json(path.read_text(), path)
+    from .dispersion import _json_file
+    payload = _json_file(config, "config file")
     parser, k = ap, 0          # follow the command words to the subcommand
     while k < len(argv) and argv[k] in _subparsers(parser):
         parser = _subparsers(parser)[argv[k]]
@@ -608,8 +600,8 @@ def _with_config(ap, argv) -> list:
     values = {key.replace("-", "_"): v for key, v in payload.items()}
     unknown = sorted(set(values) - set(options))
     if unknown:
-        raise ValueError(f"config file {path} sets unknown options "
-                         f"{unknown}")
+        raise ValueError(f"config file {payload.where} sets unknown "
+                         f"options {unknown}")
     tokens = []
     for dest, value in values.items():
         action = options[dest]
@@ -640,9 +632,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{dest.replace('_', '-')} must be "
                                  f"finite, not {value}")
         return args.func(args)
-    except _NUMERICAL + _USAGE as exc:
-        kind, code = (("numerical", 1) if isinstance(exc, _NUMERICAL)
-                      else ("usage", 2))
+    except (FreqbinError, *_USAGE) as exc:
+        kind, code = (("numerical", 1) if isinstance(exc, FreqbinError)
+                      and not isinstance(exc, ValueError) else ("usage", 2))
         if error_json:
             print(json.dumps({"error": type(exc).__name__, "kind": kind,
                               "message": str(exc)}, sort_keys=True),

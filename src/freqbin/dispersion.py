@@ -206,13 +206,17 @@ def _number(value, what: str):
     return value
 
 
-def _parse_json(text: str, where) -> dict:
-    """Parsed JSON ``text`` read from ``where``, objects as _JsonObject;
-    ValueError naming ``where`` unless it holds an object."""
-    payload = json.loads(text, object_pairs_hook=lambda pairs: _JsonObject(
-        pairs, where))
+def _json_file(path, what: str = "file") -> dict:
+    """The JSON object in file ``path``, objects as _JsonObject naming the
+    file; FileNotFoundError "no such <what>: <path>" when it is missing,
+    ValueError naming it unless it holds an object."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such {what}: {path}")
+    payload = json.loads(path.read_text(encoding="utf-8"),
+                         object_pairs_hook=lambda p: _JsonObject(p, path))
     if not isinstance(payload, dict):
-        raise ValueError(f"{where}: expected a JSON object, not "
+        raise ValueError(f"{path}: expected a JSON object, not "
                          f"{type(payload).__name__}")
     return payload
 
@@ -227,7 +231,7 @@ def _read_json(kind: str, source) -> dict:
         if not path.is_file():
             raise FileNotFoundError(f"no file '{source}' and no bundled "
                                     f"data/{kind}/{source}.json")
-    return _parse_json(path.read_text(encoding="utf-8"), path)
+    return _json_file(path)
 
 
 # the top-level keys of a Sellmeier file

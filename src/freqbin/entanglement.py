@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from ._conversion import conversion_phase
 from .dispersion import _number, _read_json
 from .errors import (BasisMismatchError, FitConvergenceError,
                      PhysicalityError, TomographyDataError)
@@ -203,9 +204,11 @@ def mode_convert(obj, tau: float, delta_omega: float):
 
     Applies the local unitary diag(1, e^{i delta_omega tau}) on the first
     qubit and relabels w1 -> H, w2 -> V, so a state with phase phi0 comes
-    out with phi0 + delta_omega * tau. Local and unitary, hence spectrum-
-    and concurrence-preserving.
+    out with phi0 + ``conversion_phase(tau, delta_omega)``, whose checks
+    it shares. Local and unitary, hence spectrum- and
+    concurrence-preserving.
     """
+    conversion_phase(tau, delta_omega)
     phase = np.exp(1j * delta_omega * tau)
     u = np.diag([1.0 + 0j, 1.0 + 0j, phase, phase])
     if not isinstance(obj, (StateVector, DensityMatrix)):

@@ -38,14 +38,13 @@ class HomParams:
     tau_offset: float = 0.0
 
     def __post_init__(self):
-        if not self.N > 0.0:
-            raise ValueError("N must be > 0")
         if not 0.0 <= self.V <= 1.0:
             raise ValueError("V must be in [0, 1]")
-        if not self.delta_omega > 0.0:
-            raise ValueError("delta_omega must be > 0")
-        if not self.tau_c > 0.0:
-            raise ValueError("tau_c must be > 0")
+        for name in ("N", "delta_omega", "tau_c"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be > 0 and finite, not "
+                                 f"{value:g}")
 
     def as_array(self):
         return np.array([self.N, self.V, self.delta_omega, self.tau_c,
@@ -226,8 +225,20 @@ def fit_homi(scan: HomScan, init: dict | None = None) -> HomFit:
     ``_MAX_ITER`` iterations without convergence, when the start puts mu
     at or below zero or the Fisher information at the optimum is singular,
     and up front for a scan of no more points than parameters or with beat
-    power above the noise at fewer than two delays.
+    power above the noise at fewer than two delays; without an iterate,
+    when an overflow or an invalid operation interrupts it (a start far
+    off the scan's scale, such as N = 1e300).
     """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _fit_homi(scan, init)
+    except FloatingPointError as exc:
+        raise FitConvergenceError(
+            f"the fit's arithmetic failed: {exc}") from exc
+
+
+def _fit_homi(scan: HomScan, init: dict | None) -> HomFit:
+    """``fit_homi`` with its floating-point errors raised."""
     if len(scan.delays) <= len(_PARAM_NAMES):
         raise FitConvergenceError(
             f"{len(scan.delays)} scan points cannot determine the "

@@ -242,6 +242,13 @@ def _check_span(sets, t_c, lam_p_um, lam_lo_um, lam_hi_um):
     p_set.check_range(lam_p_um, t_c)
 
 
+def _pair_sets(spec: CrystalSpec, signal_pol=Polarization.H) -> tuple:
+    """The (pump, signal, idler) coefficient sets of the type-II pair whose
+    signal is polarized ``signal_pol`` and idler ``signal_pol.other``."""
+    return tuple(map(spec.sellmeier_for, (spec.pump_polarization,
+                                          signal_pol, signal_pol.other)))
+
+
 def _mismatch(sets, t_c, lam_p_um, lam_s_um, period_um=np.inf):
     """k_p - k_s - k_i - 2 pi/period_um and k_s + k_i, both in rad/um.
 
@@ -346,8 +353,7 @@ def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
             raise ValueError(f"segment index {j} is out of range: the "
                              f"crystal has {n_seg} segment(s), 0..{n_seg - 1}")
     signal_pol = Polarization(signal_pol)
-    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
-                                          signal_pol, signal_pol.other)))
+    sets = _pair_sets(spec, signal_pol)
     period_um = (spec.segments[segments].period * 1e6
                  if np.ndim(segments) == 0 else
                  np.array([spec.segments[j].period * 1e6 for j in segments]))
@@ -356,6 +362,8 @@ def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
     outcomes, scanned = [None] * len(rows), []
     for r, (j, t, lp) in enumerate(rows):
         try:
+            if not lp > 0.0:
+                raise ValueError(f"pump wavelength must be > 0, not {lp:g} m")
             _check_temperature(spec.sellmeier, float(t))
             if not lp * 1e6 < lo_um < hi_um:
                 raise ValueError(
@@ -518,8 +526,7 @@ def crossing_temperature(spec: CrystalSpec,
     temperature bracket is no wider than ``_CROSSING_TOL_C`` degC, each
     step solving segment 0 alone and range-checking mu and its idler.
     """
-    sets = tuple(map(spec.sellmeier_for, (spec.pump_polarization,
-                                          Polarization.H, Polarization.V)))
+    sets = _pair_sets(spec)
     lam_p_um = spec.pump_wavelength * 1e6
     period_um = spec.segments[1].period * 1e6
 

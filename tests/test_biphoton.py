@@ -60,7 +60,7 @@ def test_segment_amplitude_scalar_vs_vector(const_crystal):
 
 # --- joint spectrum ---------------------------------------------------------
 
-def test_grid_symmetric_normalized(default_state):
+def test_grid_symmetric_normalized(default_spec, default_state):
     sa = default_state.spectrum
     omega_p = _omega(775e-9)
     # exchange symmetry: omega + reversed(omega) = omega_p everywhere
@@ -74,6 +74,12 @@ def test_grid_symmetric_normalized(default_state):
     assert np.allclose(sa.per_segment.sum(axis=0), sa.total)
     assert sa.grid_meta["points_per_lobe"] >= 20.0
     assert sa.grid_meta["points"] == len(sa.omega)
+    assert sa.grid_meta["omega_p_rad_s"] == pytest.approx(omega_p, rel=1e-15)
+    # each segment's centre and group-index mismatch, from its solved pair
+    for pt, (center, dng) in zip(sa.segment_points, sa.segment_geometry):
+        assert center == pytest.approx(_omega(pt.signal_wavelength),
+                                       rel=1e-15)
+        assert dng == _group_index_mismatch(default_spec, pt)
 
 
 def test_grid_resolution_error(default_spec):

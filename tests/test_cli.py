@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from freqbin import errors
 from freqbin.cli import _build_parser, main
 from freqbin.entanglement import mode_convert, rho_freq
 from freqbin.hom import HomParams, synthesize_scan
@@ -565,6 +566,24 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     (["hom", "model", "--dw-thz", "0"], "delta_omega must be > 0"),
     (["hom", "model", "--dw-thz", "-11.5"], "delta_omega must be > 0"),
     (["hom", "synth", "--dw-thz", "-11.5"], "delta_omega must be > 0"),
+    # a zero pump escaped as a ZeroDivisionError, a negative one wrote gaps
+    (["qpm", "tune", "--pump-from-nm", "0", "--pump-to-nm", "10",
+      "--steps", "3"], "pump wavelength must be > 0, not 0 m"),
+    (["qpm", "tune", "--pump-from-nm", "-5", "--pump-to-nm", "10",
+      "--steps", "3"], "pump wavelength must be > 0, not -5e-09 m"),
+    # an infinite splitting wrote NaN counts, or a NaN phase the JSON
+    # writer refused
+    (["hom", "model", "--dw-thz", "1e300"],
+     "delta_omega must be > 0 and finite, not inf"),
+    (["tomo", "convert", "--tau-fs", "0", "--dw-thz", "1e300"],
+     "delta_omega must be > 0 and finite, not inf"),
+    # the tomography side took a splitting at or below zero
+    (["tomo", "convert", "--tau-fs", "20", "--dw-thz", "0"],
+     "delta_omega must be > 0"),
+    (["tomo", "convert", "--tau-fs", "20", "--dw-thz", "-11.5"],
+     "delta_omega must be > 0"),
+    (["tomo", "simulate", "--tau-fs", "20", "--dw-thz", "-11.5"],
+     "delta_omega must be > 0"),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):
@@ -946,6 +965,24 @@ def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "usage" and err["error"] == "ValueError"
     assert all(name in err["message"] for name in names)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.FreqbinError)))
+def test_exit_class_follows_the_error_taxonomy(monkeypatch, capsys, name):
+    # every library error, a class added later too: 1 unless it is also a
+    # ValueError, which describes bad input
+    cls = getattr(errors, name)
+
+    def failing(args):
+        raise cls("raised on purpose")
+    monkeypatch.setattr("freqbin.cli.cmd_tomo_metrics", failing)
+    rc = main(["tomo", "metrics", "--error-json"])
+    err = json.loads(capsys.readouterr().err)
+    want = (2, "usage") if issubclass(cls, ValueError) else (1, "numerical")
+    assert (rc, err["kind"]) == want
+    assert err["error"] == name and err["message"] == "raised on purpose"
 
 
 def test_key_error_is_not_a_usage_error(monkeypatch):

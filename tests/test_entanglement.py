@@ -5,6 +5,7 @@ the phase-matched Bell state is (1 + V)/2 regardless of p, and concurrence
 equals V exactly. Those identities anchor the randomized checks here.
 """
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from freqbin.entanglement import (FREQ_BASIS, POL_BASIS, DensityMatrix,
                                   Domain, ProjectorSetting, StateVector,
                                   TomographyDataset, TomographyResult,
-                                  concurrence, fidelity, ideal_state,
+                                  concurrence, conversion_phase,
+                                  fidelity, ideal_state,
                                   load_projectors, mle_tomography,
                                   mode_convert, rho_freq, simulate_counts,
                                   trace_distance)
@@ -194,6 +196,42 @@ def test_mode_convert_input_validation():
                      tau=0.0, delta_omega=1e13)
     with pytest.raises(TypeError):
         mode_convert(np.eye(4) / 4.0, tau=0.0, delta_omega=1e13)
+
+
+@pytest.mark.parametrize("tau, dw, needle", [
+    (20e-15, 0.0, "delta_omega must be > 0"),
+    (20e-15, -TWO_PI * 11.5e12, "delta_omega must be > 0"),
+    (0.0, np.inf, "delta_omega must be > 0"),
+    (0.0, np.nan, "delta_omega must be > 0"),
+    (np.inf, 1e13, "delta_omega \\* tau must be finite"),
+    (1e300, 1e13, "delta_omega \\* tau must be finite"),
+])
+def test_conversion_rejects_a_bad_splitting_or_delay(tau, dw, needle):
+    # a splitting of -11.5 THz imprinted the +11.5 THz phase's complement
+    with pytest.raises(ValueError, match=needle):
+        conversion_phase(tau, dw)
+    with pytest.raises(ValueError, match=needle):
+        mode_convert(rho_freq(0.5, 0.9, 0.0), tau=tau, delta_omega=dw)
+
+
+def test_readme_library_example_runs(capsys):
+    # the example scored the converted state against a frequency-basis
+    # target and raised BasisMismatchError
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    exec(code.split("```", 1)[0], {})
+    assert 0.9 < float(capsys.readouterr().out) <= 1.0
+
+
+def test_conversion_phase_is_the_imprinted_phase():
+    dw = TWO_PI * 11.5e12
+    for tau in (-20e-15, 0.0, 37e-15, 1e-9):
+        phase = conversion_phase(tau, dw)
+        assert 0.0 <= phase < TWO_PI
+        assert phase == (dw * tau) % TWO_PI
+        rho = mode_convert(rho_freq(0.516, 0.934, 0.0), tau, dw)
+        assert np.mod(np.angle(rho.elements[2, 1]), TWO_PI) == \
+            pytest.approx(phase, abs=1e-9)
 
 
 @settings(max_examples=60)

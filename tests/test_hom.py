@@ -470,6 +470,13 @@ def test_params_validation():
     for dw in (0.0, -1e13):
         with pytest.raises(ValueError, match="delta_omega must be > 0"):
             HomParams(N=1.0, V=0.5, delta_omega=dw, tau_c=1e-12)
+    # an infinite splitting (hom model --dw-thz 1e300) wrote NaN counts
+    good = dict(N=1.0, V=0.5, delta_omega=1e13, tau_c=1e-12)
+    for name in ("N", "delta_omega", "tau_c"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be > 0 and finite"):
+                HomParams(**{**good, name: bad})
     arr = TRUE.as_array()
     assert arr.tolist() == [TRUE.N, TRUE.V, TRUE.delta_omega, TRUE.tau_c,
                             TRUE.tau_offset]

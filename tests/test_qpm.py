@@ -413,6 +413,16 @@ def test_tuning_curve_pump_sweep_gaps(default_spec):
         1507.103, abs=0.01)
 
 
+@pytest.mark.parametrize("sweep", [(0.0, 10e-9), (-5e-9, 10e-9)])
+def test_tuning_curve_nonpositive_pump_is_an_error_naming_it(default_spec,
+                                                             sweep):
+    # a zero pump used to escape as a ZeroDivisionError from the span
+    # check, and a negative one was recorded as a gap
+    with pytest.raises(ValueError, match="pump wavelength must be > 0"):
+        tuning_curve(default_spec, 0, variable="pump_wavelength",
+                     sweep=sweep, steps=3)
+
+
 def test_tuning_curve_temperature_gap_outside_validity(default_spec):
     # 10 C is below the Edwards sets' 20 C floor: a gap, not an exception
     curve = tuning_curve(default_spec, 0, sweep=(10.0, 120.0), steps=2)
