@@ -20,6 +20,8 @@ so the relative phase between the processes collapses to the closed form
 
 independently of the dispersion model; with L1 an integer number of poling
 periods this is the textbook 2 pi (1/Lambda_1 - 1/Lambda_2) L2.
+``reduce_to_bins`` takes phi = arg A_lo - arg A_hi from this form, as
+2 pi [(z_lo - L_tot)/Lambda_lo - (z_hi - L_tot)/Lambda_hi] (mod 2 pi).
 """
 from __future__ import annotations
 
@@ -27,16 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dispersion
 from .errors import (BinReductionError, GridResolutionError,
                      PhysicalityError)
 from .qpm import (C_M_PER_S, CrystalSpec, TWO_PI, _bracketed_root,
                   _check_span, _mismatch, _pair_sets, _solve_rows, _solved)
-
-
-def _sinc(x):
-    """sin(x)/x with sinc(0) = 1 (numpy's np.sinc is the normalized variant)."""
-    return np.sinc(np.asarray(x) / np.pi)
 
 
 @dataclass(frozen=True)
@@ -123,25 +119,24 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
                                                 lam_s_um))
     dk = kappa - TWO_PI / seg.period
 
-    amp = seg.amplitude_scale * seg.length * _sinc(0.5 * dk * seg.length)
+    # sin(x)/x at x = dk L/2: numpy's sinc is sin(pi x)/(pi x)
+    amp = (seg.amplitude_scale * seg.length
+           * np.sinc(0.5 * dk * seg.length / np.pi))
     phase = (kappa * spec.segment_start(segment_index)
              + 0.5 * dk * seg.length + big_s * spec.total_length)
     out = amp * np.exp(1j * phase)
     return complex(out) if omega.ndim == 0 else out
 
 
-def _group_index_mismatch(spec, point):
-    """|n_g,i - n_g,s| of a solved pair: the daughters' group-velocity
-    mismatch, which sets the sinc lobe width and the walk-off delay."""
-    # looked up in dispersion at each call, so that a wrapper set there and
-    # removed again (a span tracer's) is never kept in this module
-    ng_s = dispersion.group_index(
-        spec.field(point.signal_wavelength, point.signal_pol),
-        spec.sellmeier_for(point.signal_pol))
-    ng_i = dispersion.group_index(
-        spec.field(point.idler_wavelength, point.idler_pol),
-        spec.sellmeier_for(point.idler_pol))
-    return abs(ng_i - ng_s)
+def _group_index_mismatch(spec, points) -> np.ndarray:
+    """|n_g,i - n_g,s| of each solved pair: the daughters' group-velocity
+    mismatch, which sets the sinc lobe width and the walk-off delay. The
+    pairs were range-checked when they were solved."""
+    _, s_set, i_set = _pair_sets(spec)
+    lam_s, lam_i = 1e6 * np.array([(p.signal_wavelength, p.idler_wavelength)
+                                   for p in points]).T
+    return np.abs(i_set.group_index(lam_i, spec.temperature)
+                  - s_set.group_index(lam_s, spec.temperature))
 
 
 def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
@@ -158,13 +153,15 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
         raise ValueError(f"lobes must be positive, not {lobes}")
     if not n_points >= 17:
         raise ValueError(f"n_points must be at least 17, not {n_points}")
-    points = _solved(_solve_rows(spec, range(len(spec.segments)),
-                                 spec.temperature, spec.pump_wavelength))
+    points = [_solved(_solve_rows(spec, j, spec.temperature,
+                                  spec.pump_wavelength))[0]
+              for j in range(len(spec.segments))]
     omega_p = TWO_PI * C_M_PER_S / spec.pump_wavelength
-    geometry = tuple((TWO_PI * C_M_PER_S / p.signal_wavelength,
-                      _group_index_mismatch(spec, p)) for p in points)
-    lobe_w = [2.0 * TWO_PI * C_M_PER_S / (dng * seg.length)
-              for (_, dng), seg in zip(geometry, spec.segments)]
+    dng = _group_index_mismatch(spec, points)
+    geometry = tuple((TWO_PI * C_M_PER_S / p.signal_wavelength, float(d))
+                     for p, d in zip(points, dng))
+    lobe_w = [2.0 * TWO_PI * C_M_PER_S / (d * seg.length)
+              for (_, d), seg in zip(geometry, spec.segments)]
     half_span = max(abs(c - 0.5 * omega_p) + lobes * lw
                     for (c, _), lw in zip(geometry, lobe_w))
 
@@ -280,10 +277,11 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
 
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * o_mag
 
-    # relative phase of the two processes at their phase-matched centers
-    amp_hi = segment_amplitude(spec, hi, centers[hi])
-    amp_lo = segment_amplitude(spec, lo, centers[lo])
-    phi = float(np.mod(np.angle(amp_lo) - np.angle(amp_hi), TWO_PI))
+    # relative phase of the two processes at their phase-matched centers,
+    # in the closed form of the module docstring
+    z_lo, z_hi = (spec.segment_start(j) - spec.total_length for j in (lo, hi))
+    phi = float(np.mod(TWO_PI * (z_lo / spec.segments[lo].period
+                                 - z_hi / spec.segments[hi].period), TWO_PI))
 
     tau_c = 0.5 * sum(widths)
     return BiphotonState(p=p, V=float(min(vis, 1.0)), phi=phi,

@@ -315,7 +315,10 @@ def cmd_hom_fit(args) -> int:
 
 def _rho_from_args(args):
     """The state of ``--rho``, else of ``--p/--v/--phi``, mode-converted
-    by ``--tau-fs`` where it is given."""
+    by ``--tau-fs`` where it is given, at ``--dw-thz`` (default 11.5)."""
+    if args.tau_fs is None and args.dw_thz is not None:
+        raise ValueError(f"--dw-thz {args.dw_thz:g} is read only with "
+                         "--tau-fs, which is not given")
     from .dispersion import _json_file
     from .entanglement import DensityMatrix, mode_convert, rho_freq
     if args.rho:
@@ -325,8 +328,9 @@ def _rho_from_args(args):
     else:
         rho = rho_freq(float(args.p), float(args.v), float(args.phi))
     if args.tau_fs is not None:
+        dw_thz = _SPLITTING_THZ if args.dw_thz is None else args.dw_thz
         rho = mode_convert(rho, float(args.tau_fs) * 1e-15,
-                           math.tau * float(args.dw_thz) * 1e12)
+                           math.tau * dw_thz * 1e12)
     return rho
 
 
@@ -413,7 +417,11 @@ def cmd_tomo_table1(args) -> int:
                                simulate_counts)
     from .hom import HomParams, homi_rate
     dw = math.tau * args.dw_thz * 1e12
-    taus_fs = [float(t) for t in args.taus_fs.split(",")]
+    try:
+        taus_fs = [float(t) for t in args.taus_fs.split(",")]
+    except ValueError:
+        raise ValueError("--taus-fs must be comma-separated delays [fs], "
+                         f"not {args.taus_fs!r}") from None
     settings = load_projectors(args.projectors)
     rho_f = rho_freq(args.p, args.v, 0.0)
     beat = HomParams(1.0, args.v, dw, args.tauc_ps * 1e-12)
@@ -464,7 +472,8 @@ _PROJECTORS = _opt("--projectors", default="james16")
 _EXPECTED_TOTAL = _opt("--expected-total", type=float, default=4000.0,
                        help="flux scale: mean counts of one full-basis "
                             "group (~expected_total/4 per setting)")
-_DW_THZ = _opt("--dw-thz", type=float, default=11.5,
+_SPLITTING_THZ = 11.5        # default bin splitting delta_omega/2pi
+_DW_THZ = _opt("--dw-thz", type=float, default=_SPLITTING_THZ,
                help="bin splitting delta_omega/2pi [THz]")
 _TAUC_PS = _opt("--tauc-ps", type=float, default=2.40,
                 help="triangular envelope half-base [ps]")
@@ -483,7 +492,8 @@ _STATE = (_P, _V,
           _opt("--rho", help="density-matrix JSON path (overrides --p/--v)"),
           _opt("--tau-fs", type=float, help="mode-conversion delay [fs] "
                                             "(maps to polarization basis)"),
-          _DW_THZ)
+          _opt("--dw-thz", type=float, help="bin splitting delta_omega/2pi "
+                                            "[THz] of --tau-fs, default 11.5"))
 
 
 def _command(parent, name, func, help, *options):

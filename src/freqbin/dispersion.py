@@ -116,6 +116,10 @@ class SellmeierSet:
                - 2.0 * c["a6"] * lam_um)
         return dn2 / (2.0 * self.index(lam_um, t_c))
 
+    def group_index(self, lam_um, t_c):
+        """Group index n - lam dn/dlam, for the arguments ``index`` takes."""
+        return self.index(lam_um, t_c) - lam_um * self.dn_dlam(lam_um, t_c)
+
     def check_range(self, wavelength_um: float, temperature_C: float) -> None:
         lo, hi = self.valid_wavelength_um
         if not lo <= wavelength_um <= hi:
@@ -279,12 +283,9 @@ def wavenumber(fld: OpticalField, sset: SellmeierSet) -> float:
 
 def group_index(fld: OpticalField, sset: SellmeierSet,
                 method: str = "analytic") -> float:
-    """Group index n_g = n - lambda * dn/dlambda, with the closed-form
-    derivative of the index model (``method`` accepts only "analytic")."""
+    """Group index n_g = n - lambda * dn/dlambda of the field, range-checked
+    (``SellmeierSet.group_index``; ``method`` accepts only "analytic")."""
     if method != "analytic":
         raise ValueError(f"unknown method '{method}'")
-    lam_um = fld.wavelength_um
-    sset.check_range(lam_um, fld.temperature)
-    dn = sset.dn_dlam(lam_um, fld.temperature)
-    n = sset.index(lam_um, fld.temperature)
-    return float(n - lam_um * dn)
+    sset.check_range(fld.wavelength_um, fld.temperature)
+    return float(sset.group_index(fld.wavelength_um, fld.temperature))

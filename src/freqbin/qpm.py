@@ -8,18 +8,18 @@ an inconsistent triple. The QPM condition solved is
     dk = k_p - k_s - k_i - 2*pi/Lambda = 0.
 
 Each k = 2*pi*n/lam comes from the axis' ``SellmeierSet``. One evaluator,
-``_mismatch``, broadcasts the temperatures, pumps and periods of a stack of
-rows against a grid of signal wavelengths, and one batched pair solver,
-``_solve_rows``, serves every caller: it range-checks each row, scans all
-rows' mismatch for sign changes in one call, and refines each bracketed
-root by Illinois regula falsi (``_bracketed_root``): derivative-free like
-bisection and as safe, since the bracket always holds a sign change, but
-superlinear. Each row repeats a one-row solve's arithmetic, so a
-``tuning_curve`` (one call over the sweep) and ``biphoton.joint_spectrum``
-(one call over the segments) return bit for bit what
-``solve_signal_idler`` (the one-row call) returns point by point.
+``_mismatch``, broadcasts the temperatures and pumps of a stack of rows
+against a grid of signal wavelengths, and one batched pair solver of one
+segment's rows, ``_solve_rows``, serves every caller: it range-checks each
+row, scans all rows' mismatch for sign changes in one call, and refines
+each bracketed root by Illinois regula falsi (``_bracketed_root``):
+derivative-free like bisection and as safe, since the bracket always
+holds a sign change, but superlinear. Each row repeats a one-row solve's
+arithmetic, so a ``tuning_curve`` (one call over the sweep) and
+``biphoton.joint_spectrum`` (one call per segment) return bit for bit
+what ``solve_signal_idler`` (the one-row call) returns point by point.
 
-``crossing_temperature`` solves both segments at both bracket ends in one
+``crossing_temperature`` solves segment 0 at both bracket ends in one
 call, then runs the same root finder on one mismatch: segment 1's at
 segment 0's idler, which vanishes where the segments emit one pair, roles
 exchanged. ``biphoton.reduce_to_bins`` refines its compensation delay
@@ -52,16 +52,6 @@ class Branch(str, enum.Enum):
 
     SIGNAL_SHORT = "signal_short"   # lam_s below the degeneracy 2*lam_p
     SIGNAL_LONG = "signal_long"
-
-
-def _check_temperature(sellmeier: dict, t_c: float) -> None:
-    """TemperatureRangeError unless every set in ``sellmeier`` covers t_c."""
-    for sset in sellmeier.values():
-        tlo, thi = sset.valid_temperature_C
-        if not tlo <= t_c <= thi:
-            raise TemperatureRangeError(
-                f"crystal temperature {t_c:g} C outside validity "
-                f"[{tlo:g}, {thi:g}] C of set {sset.name}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +122,12 @@ class CrystalSpec:
         object.__setattr__(self, "sellmeier", smap)
         object.__setattr__(self, "pump_polarization",
                            Polarization(self.pump_polarization))
-        _check_temperature(smap, self.temperature)
+        for sset in smap.values():
+            tlo, thi = sset.valid_temperature_C
+            if not tlo <= self.temperature <= thi:
+                raise TemperatureRangeError(
+                    f"crystal temperature {self.temperature:g} C outside "
+                    f"validity [{tlo:g}, {thi:g}] C of set {sset.name}")
 
     @property
     def total_length(self) -> float:
@@ -198,7 +193,7 @@ def load_crystal(source) -> CrystalSpec:
                       length=s.number("length_mm") * 1e-3,
                       amplitude_scale=s.number("amplitude_scale", 1.0))
         for s in raw["segments"])
-    # looked up in dispersion at each call, as biphoton looks up group_index
+    # looked up in dispersion at each call, so no span tracer's wrapper stays
     sellmeier = {Axis(axis): dispersion.load_sellmeier(fname)
                  for axis, fname in raw.object("sellmeier_files").items()}
     return CrystalSpec(
@@ -331,44 +326,38 @@ def _pick_root(roots, segment_index, period_um, dk_row, branch, lam_p_um,
     return side[0]
 
 
-def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
+def _solve_rows(spec: CrystalSpec, segment_index: int, t_c, lam_p,
                 signal_pol=Polarization.H, branch: Branch | None = None,
                 bracket=_SIGNAL_BRACKET) -> list:
-    """Pair solves of rows (segment index, temperature [degC], pump [m]):
+    """Pair solves of one segment's rows (temperature [degC], pump [m]),
+    each one value shared by every row or a 1-D sequence of one per row:
     each row's PhaseMatchPoint, or the exception its own
-    ``solve_signal_idler`` would raise, in row order.
-
-    ``segments``, ``t_c`` and ``lam_p`` are each one value that every row
-    shares or a 1-D sequence with one value per row. Each row is
-    range-checked as ``replace(spec, ...)`` and its span would be. The
-    rows that pass share one sign-change scan of the mismatch on
-    ``_SCAN_POINTS`` signal wavelengths, in which a shared value stays a
-    scalar; every bracketed root is refined by the scalar
-    ``_bracketed_root``, so each row repeats a one-row solve's arithmetic
-    bit for bit.
+    ``solve_signal_idler`` would raise, in row order. Rows are
+    range-checked as ``replace(spec, ...)`` and their spans would be, and
+    share one sign-change scan on ``_SCAN_POINTS`` signal wavelengths, in
+    which a shared value stays a scalar; the scalar ``_bracketed_root``
+    refines each root, so a row repeats a one-row solve bit for bit.
     """
     n_seg = len(spec.segments)
-    for j in np.ravel(segments):
-        if not 0 <= j < n_seg:
-            raise ValueError(f"segment index {j} is out of range: the "
-                             f"crystal has {n_seg} segment(s), 0..{n_seg - 1}")
+    if not 0 <= segment_index < n_seg:
+        raise ValueError(f"segment index {segment_index} is out of range: the "
+                         f"crystal has {n_seg} segment(s), 0..{n_seg - 1}")
     signal_pol = Polarization(signal_pol)
     sets = _pair_sets(spec, signal_pol)
-    period_um = (spec.segments[segments].period * 1e6
-                 if np.ndim(segments) == 0 else
-                 np.array([spec.segments[j].period * 1e6 for j in segments]))
+    per_um = spec.segments[segment_index].period * 1e6
     lo_um, hi_um = bracket[0] * 1e6, bracket[1] * 1e6
-    rows = list(np.broadcast(segments, t_c, lam_p))
+    rows = list(np.broadcast(t_c, lam_p))
     outcomes, scanned = [None] * len(rows), []
-    for r, (j, t, lp) in enumerate(rows):
+    for r, (t, lp) in enumerate(rows):
         try:
             if not lp > 0.0:
                 raise ValueError(f"pump wavelength must be > 0, not {lp:g} m")
-            _check_temperature(spec.sellmeier, float(t))
             if not lp * 1e6 < lo_um < hi_um:
                 raise ValueError(
-                    "signal bracket must satisfy lam_p < lo < hi")
-            # the refinement stays inside the grid, so one check covers it
+                    f"pump {lp * 1e9:g} nm and signal bracket [{lo_um * 1e3:g}"
+                    f", {hi_um * 1e3:g}] nm must satisfy pump < lo < hi")
+            # every set the row evaluates, at t; the refinement stays
+            # inside the grid, so one check covers it
             _check_span(sets, float(t), float(lp) * 1e6, lo_um, hi_um)
         except ValueError as exc:
             outcomes[r] = exc
@@ -382,13 +371,12 @@ def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
 
     lam_grid = np.linspace(lo_um, hi_um, _SCAN_POINTS)
     dk_grid = np.atleast_2d(_mismatch(sets, column(t_c), column(lam_p) * 1e6,
-                                      lam_grid, column(period_um))[0])
+                                      lam_grid, per_um)[0])
     sign = np.sign(dk_grid)
     flips = sign[:, :-1] * sign[:, 1:] < 0
     for k, r in enumerate(scanned):
-        j, t, lp = rows[r]
+        t, lp = rows[r]
         t, lp_um = float(t), float(lp) * 1e6
-        per_um = spec.segments[j].period * 1e6
         dk_row = dk_grid[k]
 
         def dk(lam_s_um):
@@ -401,8 +389,9 @@ def _solve_rows(spec: CrystalSpec, segments, t_c, lam_p,
         roots += [(lam_grid[i], dk_row[i])
                   for i in np.nonzero(sign[k] == 0)[0]]
         try:
-            lam_root, dk_root = _pick_root(roots, j, per_um, dk_row, branch,
-                                           lp_um, lo_um, hi_um)
+            lam_root, dk_root = _pick_root(roots, segment_index, per_um,
+                                           dk_row, branch, lp_um, lo_um,
+                                           hi_um)
             residual = dk_root * 1e6  # rad/um -> rad/m
             if abs(residual) > _PAIR_TOL:
                 raise NoPhaseMatchError(
@@ -496,12 +485,10 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
     if steps == 1 and lo != hi:
         raise ValueError("single-step sweep requires lo == hi")
     values = np.linspace(lo, hi, int(steps))
-    rows = {"temperature": spec.temperature,
-            "pump_wavelength": spec.pump_wavelength, variable: values}
+    t_c, lam_p = ((values, spec.pump_wavelength) if variable == "temperature"
+                  else (spec.temperature, values))
     out = []
-    for v, pt in zip(values, _solve_rows(spec, segment_index,
-                                         rows["temperature"],
-                                         rows["pump_wavelength"],
+    for v, pt in zip(values, _solve_rows(spec, segment_index, t_c, lam_p,
                                          signal_pol, branch)):
         if isinstance(pt, (NoPhaseMatchError, WavelengthRangeError,
                            TemperatureRangeError)):
@@ -520,12 +507,16 @@ def crossing_temperature(spec: CrystalSpec,
     At the crossing, segment 1's H signal is segment 0's idler mu, i.e. the
     two processes populate the same two bins with polarizations swapped.
     The crossing is thus the root of h(T), segment 1's mismatch at mu(T).
-    Both segments are solved at both bracket ends in one batched call,
+    Segment 0 alone is solved at both bracket ends in one batched call,
     whose errors propagate; ends of one sign raise NoPhaseMatchError with
     h's span in rad/m. ``_bracketed_root`` then refines h until its
     temperature bracket is no wider than ``_CROSSING_TOL_C`` degC, each
-    step solving segment 0 alone and range-checking mu and its idler.
+    step solving segment 0 and range-checking mu and its idler. A crystal
+    of fewer than two segments raises ValueError.
     """
+    if len(spec.segments) < 2:
+        raise ValueError("a crossing needs two segments; the crystal has "
+                         f"{len(spec.segments)}")
     sets = _pair_sets(spec)
     lam_p_um = spec.pump_wavelength * 1e6
     period_um = spec.segments[1].period * 1e6
@@ -536,8 +527,7 @@ def crossing_temperature(spec: CrystalSpec,
         return _mismatch(sets, t, lam_p_um, mu, period_um)[0] * 1e6
 
     lo, hi = float(t_bracket[0]), float(t_bracket[1])
-    lo0, _, hi0, _ = _solved(_solve_rows(spec, (0, 1, 0, 1), (lo, lo, hi, hi),
-                                         spec.pump_wavelength))
+    lo0, hi0 = _solved(_solve_rows(spec, 0, (lo, hi), spec.pump_wavelength))
     h_lo, h_hi = h(lo, lo0), h(hi, hi0)
     if h_lo * h_hi > 0.0:
         h_min, h_max = sorted((float(h_lo), float(h_hi)))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from freqbin.biphoton import (BiphotonState, _group_index_mismatch,
                               joint_spectrum, reduce_to_bins,
                               segment_amplitude)
+from freqbin.dispersion import group_index
 from freqbin.errors import (BinReductionError, GridResolutionError,
                             PhysicalityError)
 from freqbin.qpm import PolingSegment, TWO_PI
@@ -75,11 +76,17 @@ def test_grid_symmetric_normalized(default_spec, default_state):
     assert sa.grid_meta["points_per_lobe"] >= 20.0
     assert sa.grid_meta["points"] == len(sa.omega)
     assert sa.grid_meta["omega_p_rad_s"] == pytest.approx(omega_p, rel=1e-15)
-    # each segment's centre and group-index mismatch, from its solved pair
+    # each segment's centre and group-index mismatch, from its solved pair;
+    # the array evaluation equals dispersion's one-field group index
     for pt, (center, dng) in zip(sa.segment_points, sa.segment_geometry):
         assert center == pytest.approx(_omega(pt.signal_wavelength),
                                        rel=1e-15)
-        assert dng == _group_index_mismatch(default_spec, pt)
+        assert dng == abs(
+            group_index(default_spec.field(pt.idler_wavelength, pt.idler_pol),
+                        default_spec.sellmeier_for(pt.idler_pol))
+            - group_index(default_spec.field(pt.signal_wavelength,
+                                             pt.signal_pol),
+                          default_spec.sellmeier_for(pt.signal_pol)))
 
 
 def test_grid_resolution_error(default_spec):
@@ -139,6 +146,23 @@ def test_symmetric_toy_is_maximally_entangled(symmetric_toy):
     # dispersionless bins sit exactly at the two design wavelengths
     assert st.bin_centers[0] == pytest.approx(_omega(1.5e-6), rel=1e-9)
     assert st.bin_centers[1] == pytest.approx(_omega(1.8e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize("pairing", [None, *sorted(PAIRINGS)])
+@pytest.mark.parametrize("dt_c", [0.0, 3.0])
+def test_phi_is_the_relative_phase_of_the_amplitudes(default_spec, pairing,
+                                                     dt_c):
+    # the closed form against its definition: the phase of segment lo's
+    # amplitude less segment hi's, each at its phase-matched centre
+    spec = default_spec if pairing is None else design_crystal(pairing)
+    spec = dataclasses.replace(spec, temperature=spec.temperature + dt_c)
+    st = reduce_to_bins(joint_spectrum(spec), spec)
+    centers = [c for c, _ in st.spectrum.segment_geometry]
+    hi = int(np.argmax(centers))
+    amp_hi = segment_amplitude(spec, hi, centers[hi])
+    amp_lo = segment_amplitude(spec, 1 - hi, centers[1 - hi])
+    d = np.mod(np.angle(amp_lo) - np.angle(amp_hi) - st.phi, TWO_PI)
+    assert min(d, TWO_PI - d) < 1e-9
 
 
 def test_default_state_frozen_values(default_state):
@@ -217,7 +241,7 @@ def _overlap_setup(sa, spec):
         return np.abs(np.sum(cross * np.exp(1j * np.outer(
             np.atleast_1d(tau), theta)), axis=1))
 
-    dng = [_group_index_mismatch(spec, pt) for pt in points]
+    dng = _group_index_mismatch(spec, points)
     widths = [dng[j] * spec.segments[j].length / C for j in range(2)]
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))

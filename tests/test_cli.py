@@ -506,6 +506,17 @@ def test_tau_fs_converts_a_rho_file(tmp_path):
     assert metrics[0]["fidelity"] == pytest.approx(0.048, abs=1e-3)
 
 
+def test_tau_fs_converts_at_the_default_splitting(tmp_path):
+    # --dw-thz has no default of its own: --tau-fs alone converts at 11.5 THz
+    for name, extra in (("default", []), ("explicit", ["--dw-thz", "11.5"])):
+        assert main(["tomo", "simulate", "--tau-fs", "47", "--seed", "3",
+                     *extra, "--out-dir", str(tmp_path / name)]) == 0
+    default, explicit = (read_meta_and_rows(tmp_path / n / "tomo_counts.csv")
+                         for n in ("default", "explicit"))
+    assert default[2] == explicit[2]
+    assert json.loads(default[0]["config"])["dw_thz"] is None
+
+
 def test_tau_fs_on_a_polarization_rho_file_is_usage_error(tmp_path, capsys):
     rho = mode_convert(rho_freq(0.516, 0.934, 0.0), 0.0, 2 * np.pi * 11.5e12)
     path = write_rho(tmp_path / "p.json", rho)
@@ -584,6 +595,15 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
      "delta_omega must be > 0"),
     (["tomo", "simulate", "--tau-fs", "20", "--dw-thz", "-11.5"],
      "delta_omega must be > 0"),
+    # a splitting without a delay was ignored, and these two messages named
+    # no option
+    (["tomo", "metrics", "--dw-thz", "-5"],
+     "--dw-thz -5 is read only with --tau-fs"),
+    (["tomo", "simulate", "--dw-thz", "-5"],
+     "--dw-thz -5 is read only with --tau-fs"),
+    (["tomo", "table1", "--taus-fs="], "--taus-fs must be comma-separated"),
+    (["qpm", "tune", "--pump-from-nm", "1300", "--pump-to-nm", "1400",
+      "--steps", "3"], "pump 1300 nm and signal bracket [1200, 1900] nm"),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):
@@ -998,7 +1018,8 @@ def test_key_error_is_not_a_usage_error(monkeypatch):
 
 # Each subcommand's options as declared before the subcommands shared their
 # declarations, less tomo convert's --p/--v/--phi and hom synth's --n, which
-# they never read:
+# they never read, and with no default for tomo simulate's and metrics'
+# --dw-thz, which --tau-fs alone reads as 11.5:
 # dest -> (option strings, default, required, type, choices).
 COMMON_OPTIONS = {
     "config": (("--config",), None, False, None, None),
@@ -1076,7 +1097,7 @@ OPTIONS = {
         "phi": (("--phi",), 0.0, False, "float", None),
         "rho": (("--rho",), None, False, None, None),
         "tau_fs": (("--tau-fs",), None, False, "float", None),
-        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "dw_thz": (("--dw-thz",), None, False, "float", None),
         "projectors": (("--projectors",), "james16", False, None, None),
         "expected_total":
             (("--expected-total",), 4000.0, False, "float", None),
@@ -1092,7 +1113,7 @@ OPTIONS = {
         "phi": (("--phi",), 0.0, False, "float", None),
         "rho": (("--rho",), None, False, None, None),
         "tau_fs": (("--tau-fs",), None, False, "float", None),
-        "dw_thz": (("--dw-thz",), 11.5, False, "float", None),
+        "dw_thz": (("--dw-thz",), None, False, "float", None),
         "target_phi": (("--target-phi",), 0.0, False, "float", None),
     },
     "tomo convert": {

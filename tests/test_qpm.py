@@ -372,6 +372,15 @@ def test_crossing_temperature_no_sign_change(default_spec):
         crossing_temperature(default_spec, t_bracket=(100.0, 105.0))
 
 
+def test_crossing_of_one_segment_is_rejected(default_spec):
+    # it indexed past the end of the segments: an IndexError escaped
+    single = dataclasses.replace(default_spec,
+                                 segments=default_spec.segments[:1])
+    with pytest.raises(ValueError, match="needs two segments; the crystal "
+                                         "has 1"):
+        crossing_temperature(single)
+
+
 # --- tuning curves ----------------------------------------------------------
 
 def test_tuning_curve_single_point_equals_solver(default_spec):
