@@ -20,8 +20,7 @@ _EXPORTS = {
     "biphoton": ("BiphotonState", "SpectralAmplitude", "joint_spectrum",
                  "reduce_to_bins", "segment_amplitude"),
     "dispersion": ("Axis", "OpticalField", "Polarization", "SellmeierSet",
-                   "group_index", "load_sellmeier", "refractive_index",
-                   "wavenumber"),
+                   "group_index", "load_sellmeier"),
     "entanglement": ("DensityMatrix", "Domain", "FREQ_BASIS", "POL_BASIS",
                      "ProjectorSetting", "StateVector", "TomographyDataset",
                      "TomographyResult", "concurrence", "conversion_phase",
@@ -36,7 +35,7 @@ _EXPORTS = {
     "hom": ("HomFit", "HomParams", "HomScan", "fit_homi", "homi_rate",
             "synthesize_scan"),
     "qpm": ("Branch", "CrystalSpec", "PhaseMatchPoint", "PolingSegment",
-            "TuningPoint", "crossing_temperature", "delta_k", "load_crystal",
+            "TuningPoint", "crossing_temperature", "load_crystal",
             "solve_period", "solve_signal_idler", "tuning_curve"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()

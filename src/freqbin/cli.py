@@ -133,7 +133,6 @@ def cmd_qpm_solve(args) -> int:
 
 
 def cmd_qpm_period(args) -> int:
-    from dataclasses import replace
     from .dispersion import Polarization
     from .qpm import PhaseMatchPoint, solve_period
     spec = _load_spec(args)
@@ -146,12 +145,9 @@ def cmd_qpm_period(args) -> int:
     if not lam_p > 0.0:
         raise ValueError("--signal-nm and --idler-nm are too short: the "
                          "pump wavelength they give underflows to 0")
-    spec = replace(spec, pump_wavelength=lam_p)
-    signal_pol = Polarization(args.signal_pol)
-    pt = PhaseMatchPoint(pump_wavelength=lam_p, signal_wavelength=lam_s,
-                         idler_wavelength=lam_i, signal_pol=signal_pol,
-                         idler_pol=signal_pol.other, residual_mismatch=0.0)
-    period = solve_period(spec, pt)
+    pol = Polarization(args.signal_pol)
+    period = solve_period(spec, PhaseMatchPoint(lam_p, lam_s, lam_i, pol,
+                                                pol.other, 0.0))
     print(f"period {period*1e6:.6f} um (pump {lam_p*1e9:.4f} nm, "
           f"T {spec.temperature:.3f} C)")
     _write(args, "qpm_period.json", {
@@ -425,6 +421,11 @@ def cmd_tomo_table1(args) -> int:
     settings = load_projectors(args.projectors)
     rho_f = rho_freq(args.p, args.v, 0.0)
     beat = HomParams(1.0, args.v, dw, args.tauc_ps * 1e-12)
+    for k, tau_fs in enumerate(taus_fs, 1):   # HomParams checked dw
+        try:
+            conversion_phase(tau_fs * 1e-15, dw)
+        except ValueError as exc:
+            raise ValueError(f"--taus-fs entry {k}: {exc}") from None
     rows = []
     for k, tau_fs in enumerate(taus_fs):
         tau = tau_fs * 1e-15

@@ -1,4 +1,4 @@
-"""Refractive index, wavenumber, and group index of the nonlinear crystal.
+"""Refractive index and group index of the nonlinear crystal.
 
 Coefficient sets are data, not code: each set ships as a JSON file (see
 ``freqbin/data/sellmeier/``) holding the coefficients of one formula, the
@@ -10,8 +10,8 @@ Opt. Lett. 22, 1553 (1997) (extraordinary, congruent) and Gayer et al.,
 Appl. Phys. B 91, 343 (2008) (5% MgO-doped CLN) are included for
 sensitivity studies.
 
-All functions here are pure; everything is immutable after load, so the
-module is safe for concurrent callers.
+``OpticalField`` and ``group_index`` remain for ``perfbench/setup_child.py``;
+everything is pure and immutable after load, safe for concurrent callers.
 """
 from __future__ import annotations
 
@@ -263,22 +263,6 @@ def load_sellmeier(source) -> SellmeierSet:
         valid_temperature_C=raw.bounds("valid_temperature_C"),
         source=raw.get("source", ""),
     )
-
-
-def refractive_index(fld: OpticalField, sset: SellmeierSet) -> float:
-    """n(lambda, T) for the given field under the given coefficient set.
-
-    Pure and deterministic; raises a range error naming the violated bound
-    for out-of-range inputs.
-    """
-    lam_um = fld.wavelength_um
-    sset.check_range(lam_um, fld.temperature)
-    return float(sset.index(lam_um, fld.temperature))
-
-
-def wavenumber(fld: OpticalField, sset: SellmeierSet) -> float:
-    """k = 2 pi n(lambda, T) / lambda in rad/m."""
-    return 2.0 * np.pi * refractive_index(fld, sset) / fld.wavelength
 
 
 def group_index(fld: OpticalField, sset: SellmeierSet,

@@ -9,12 +9,13 @@ an inconsistent triple. The QPM condition solved is
 
 Each k = 2*pi*n/lam comes from the axis' ``SellmeierSet``. One evaluator,
 ``_mismatch``, broadcasts the temperatures and pumps of a stack of rows
-against a grid of signal wavelengths, and one batched pair solver of one
-segment's rows, ``_solve_rows``, serves every caller: it range-checks each
-row, scans all rows' mismatch for sign changes in one call, and refines
-each bracketed root by Illinois regula falsi (``_bracketed_root``):
-derivative-free like bisection and as safe, since the bracket always
-holds a sign change, but superlinear. Each row repeats a one-row solve's
+against a grid of signal wavelengths (``solve_period`` takes one pair),
+and one batched pair solver of one segment's rows, ``_solve_rows``,
+serves every caller: it range-checks each row, scans all rows' mismatch
+for sign changes in one call, and refines each bracketed root by
+Illinois regula falsi (``_bracketed_root``): derivative-free like
+bisection and as safe, since the bracket always holds a sign change,
+but superlinear. Each row repeats a one-row solve's
 arithmetic, so a ``tuning_curve`` (one call over the sweep) and
 ``biphoton.joint_spectrum`` (one call per segment) return bit for bit
 what ``solve_signal_idler`` (the one-row call) returns point by point.
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import dispersion
 from .dispersion import (Axis, OpticalField, Polarization, SellmeierSet,
-                         _read_json, wavenumber)
+                         _read_json)
 from .errors import (BranchAmbiguityError, NoPhaseMatchError,
                      TemperatureRangeError, WavelengthRangeError)
 
@@ -148,7 +149,8 @@ class PhaseMatchPoint:
     """A solved (pump, signal, idler) triple with its residual mismatch.
 
     Wavelengths in meters; residual in rad/m. Construction enforces energy
-    conservation to 1e-9 relative on the 1/lambda scale.
+    conservation to 1e-9 relative on the 1/lambda scale, and the type-II
+    idler polarization, ``signal_pol.other``.
     """
 
     pump_wavelength: float
@@ -161,6 +163,8 @@ class PhaseMatchPoint:
     def __post_init__(self):
         object.__setattr__(self, "signal_pol", Polarization(self.signal_pol))
         object.__setattr__(self, "idler_pol", Polarization(self.idler_pol))
+        if self.idler_pol is not self.signal_pol.other:
+            raise ValueError("type II: idler_pol must be signal_pol.other")
         up = 1.0 / self.pump_wavelength
         gap = abs(up - 1.0 / self.signal_wavelength
                   - 1.0 / self.idler_wavelength)
@@ -207,34 +211,19 @@ def load_crystal(source) -> CrystalSpec:
     )
 
 
-def delta_k(spec: CrystalSpec, pump: OpticalField, signal: OpticalField,
-            idler: OpticalField, period: float) -> float:
-    """Phase mismatch k_p - k_s - k_i - 2 pi / period in rad/m.
-
-    ``period=np.inf`` drops the grating term. The caller is responsible
-    for idler energy conservation; no check is made here.
-    """
-    if not period > 0.0:
-        raise ValueError("period must be > 0 (np.inf for no grating)")
-    kp = wavenumber(pump, spec.sellmeier_for(pump.polarization))
-    ks = wavenumber(signal, spec.sellmeier_for(signal.polarization))
-    ki = wavenumber(idler, spec.sellmeier_for(idler.polarization))
-    return kp - ks - ki - TWO_PI / period
-
-
 # ---------------------------------------------------------------------------
 # the solvers' mismatch evaluator (um units)
 
 def _check_span(sets, t_c, lam_p_um, lam_lo_um, lam_hi_um):
-    """Range-check the pump and a signal span [lam_lo_um, lam_hi_um] with
+    """Range-check the pump, then a signal span [lam_lo_um, lam_hi_um] and
     its slaved idlers at ``t_c``; the idler falls as the signal rises, so
     the span's ends bound every pair ``_mismatch`` evaluates inside it."""
     p_set, s_set, i_set = sets
+    p_set.check_range(lam_p_um, t_c)
     for lam_s in (lam_lo_um, lam_hi_um):
         s_set.check_range(lam_s, t_c)
     for lam_s in (lam_hi_um, lam_lo_um):
         i_set.check_range(1.0 / (1.0 / lam_p_um - 1.0 / lam_s), t_c)
-    p_set.check_range(lam_p_um, t_c)
 
 
 def _pair_sets(spec: CrystalSpec, signal_pol=Polarization.H) -> tuple:
@@ -439,17 +428,14 @@ def solve_signal_idler(spec: CrystalSpec, segment_index: int,
 
 
 def solve_period(spec: CrystalSpec, target: PhaseMatchPoint) -> float:
-    """Poling period [m] that phase-matches ``target``: 2 pi/(k_p - k_s - k_i).
-
-    The target's own pump wavelength is used (conservation was checked when
-    the point was built). Raises NoPhaseMatchError when the wavevector
-    balance is nonpositive (grating momentum cannot fix that sign).
-    """
-    denom = delta_k(spec,
-                    spec.field(target.pump_wavelength, spec.pump_polarization),
-                    spec.field(target.signal_wavelength, target.signal_pol),
-                    spec.field(target.idler_wavelength, target.idler_pol),
-                    np.inf)
+    """Poling period [m] that phase-matches ``target``: 2 pi/(k_p - k_s - k_i)
+    at its own pump, its idler slaved to it; NoPhaseMatchError when that
+    balance is nonpositive (grating momentum cannot fix that sign)."""
+    sets = _pair_sets(spec, target.signal_pol)
+    t_c, lam_p_um = spec.temperature, target.pump_wavelength * 1e6
+    lam_s_um = target.signal_wavelength * 1e6
+    _check_span(sets, t_c, lam_p_um, lam_s_um, lam_s_um)
+    denom = float(_mismatch(sets, t_c, lam_p_um, lam_s_um)[0]) * 1e6
     if denom <= 0.0:
         raise NoPhaseMatchError(
             "phase matching impossible in this configuration: "

@@ -1,11 +1,15 @@
-"""Shared fixtures: the default crystal, its reduced state, and toy models.
+"""Shared fixtures: the default crystal, its reduced state, toy models, and
+the scalar wavenumber oracle.
 
 Toy crystals build on the one index formula: a set with only a1 = n0^2 is
 a dispersionless index n0, so solver results have closed-form oracles (see
-individual tests for the arithmetic).
+individual tests for the arithmetic). The oracle evaluates k = 2 pi n/lam
+one wavelength at a time in SI units, range-checked, independently of the
+solvers' array mismatch in um units.
 """
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -18,6 +22,32 @@ from freqbin.qpm import (CrystalSpec, PhaseMatchPoint, PolingSegment,
 # timed: the examples' costs vary with the crystal drawn
 settings.register_profile("freqbin", deadline=None, derandomize=True)
 settings.load_profile("freqbin")
+
+
+def checked_index(sset, lam_um, t_c):
+    """n of ``sset`` at one wavelength [um] and temperature [degC], after
+    ``check_range``: its range error otherwise."""
+    sset.check_range(lam_um, t_c)
+    return float(sset.index(lam_um, t_c))
+
+
+def wavenumber(sset, lam, t_c):
+    """k = 2 pi n/lam [rad/m] at one vacuum wavelength ``lam`` [m]."""
+    return 2.0 * np.pi * checked_index(sset, lam * 1e6, t_c) / lam
+
+
+def delta_k(spec, lam_p, lam_s, lam_i, period, signal_pol=Polarization.H):
+    """k_p - k_s - k_i - 2 pi/period [rad/m] of ``spec`` at its temperature:
+    the pump on ``spec.pump_polarization``, the signal on ``signal_pol``
+    and the idler on the other one; ``period=np.inf`` drops the grating.
+    The wavelengths [m] are taken as given, and range-checked in the order
+    pump, signal, idler."""
+    pol, t_c = Polarization(signal_pol), spec.temperature
+    return (wavenumber(spec.sellmeier_for(spec.pump_polarization), lam_p, t_c)
+            - wavenumber(spec.sellmeier_for(pol), lam_s, t_c)
+            - wavenumber(spec.sellmeier_for(pol.other), lam_i, t_c)
+            - 2.0 * np.pi / period)
+
 
 # bundled Sellmeier pairings: name -> (extraordinary set, ordinary set)
 PAIRINGS = {

@@ -604,6 +604,10 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     (["tomo", "table1", "--taus-fs="], "--taus-fs must be comma-separated"),
     (["qpm", "tune", "--pump-from-nm", "1300", "--pump-to-nm", "1400",
       "--steps", "3"], "pump 1300 nm and signal bracket [1200, 1900] nm"),
+    # a NaN entry's message named neither the option nor the entry, and a
+    # delay of 1e300 fs wrote rows whose phase had no digits left
+    (["tomo", "table1", "--taus-fs=-20,nan"], "--taus-fs entry 2: "),
+    (["tomo", "table1", "--taus-fs=1e300"], "--taus-fs entry 1: "),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):

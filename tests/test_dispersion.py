@@ -1,11 +1,13 @@
-"""Refractive-index, wavenumber, and group-index behavior.
+"""Refractive-index and group-index behavior.
 
 Hard numbers for the bundled extraordinary/ordinary sets were frozen from an
 independent evaluation of the published coefficient polynomials. A set's
 own evaluation is checked against an independent in-test reimplementation
 of the two-pole formula, the closed forms of toy sets built from it, and a
 central difference of n for the analytic dn/dlam; its array calls must
-equal its elementwise scalar calls exactly.
+equal its elementwise scalar calls exactly. Scalar values are read as
+the solvers read them: ``check_range`` first, then ``SellmeierSet.index``
+(``conftest.checked_index``).
 """
 import json
 from importlib import resources
@@ -14,13 +16,12 @@ import numpy as np
 import pytest
 
 from freqbin.dispersion import (Axis, OpticalField, SellmeierSet,
-                                group_index, load_sellmeier,
-                                refractive_index, wavenumber)
+                                group_index, load_sellmeier)
 from freqbin.entanglement import load_projectors
 from freqbin.errors import TemperatureRangeError, WavelengthRangeError
 from freqbin.qpm import load_crystal
 
-from conftest import const_set
+from conftest import checked_index, const_set, wavenumber
 
 BUNDLED_SETS = ["cln_e_edwards1984", "cln_o_edwards1984", "cln_e_jundt1997",
                 "mgo_cln_e_gayer2008", "mgo_cln_o_gayer2008"]
@@ -58,8 +59,8 @@ ORACLE = {
 def test_bundled_sets_match_independent_evaluation(key):
     name, lam_um, t_c = key
     sset = load_sellmeier(name)
-    fld = OpticalField(lam_um * 1e-6, "H", t_c)
-    assert refractive_index(fld, sset) == pytest.approx(ORACLE[key], abs=1e-8)
+    assert checked_index(sset, lam_um, t_c) == pytest.approx(ORACLE[key],
+                                                             abs=1e-8)
 
 
 def test_independent_sellmeier_reimplementation():
@@ -138,10 +139,8 @@ def test_index_physical_over_validity_range(name):
     lo, hi = sset.valid_wavelength_um
     tlo, thi = sset.valid_temperature_C
     for t in (tlo, 0.5 * (tlo + thi), thi):
-        # interior samples: the um->m->um round trip can push an endpoint
-        # a half-ulp outside the inclusive range
-        for lam in np.linspace(lo, hi, 202)[1:-1]:
-            n = refractive_index(OpticalField(lam * 1e-6, "H", t), sset)
+        for lam in np.linspace(lo, hi, 202):    # the ends included
+            n = checked_index(sset, float(lam), t)
             assert 1.0 < n < 3.0
 
 
@@ -150,8 +149,7 @@ def test_normal_dispersion_in_telecom_band():
     for name in ("cln_e_edwards1984", "cln_o_edwards1984"):
         sset = load_sellmeier(name)
         lams = np.linspace(1.45, 1.65, 400)
-        ns = [refractive_index(OpticalField(l * 1e-6, "H", 120.0), sset)
-              for l in lams]
+        ns = [checked_index(sset, l, 120.0) for l in lams]
         assert np.all(np.diff(ns) < 0.0)
         assert ns[0] > ns[-1]
 
@@ -159,33 +157,32 @@ def test_normal_dispersion_in_telecom_band():
 def test_purity_identical_bit_pattern():
     sset = load_sellmeier("cln_e_edwards1984")
     fld = OpticalField(1.55e-6, "H", 118.3)
-    assert refractive_index(fld, sset) == refractive_index(fld, sset)
+    assert checked_index(sset, 1.55, 118.3) == checked_index(sset, 1.55,
+                                                             118.3)
     assert group_index(fld, sset) == group_index(fld, sset)
 
 
 def test_wavenumber_definition_and_scaling():
+    # the tests' scalar wavenumber oracle (conftest.wavenumber)
     sset = const_set("c", Axis.ORDINARY, 2.2)
-    f1 = OpticalField(1.55e-6, "V", 25.0)
-    f2 = OpticalField(3.10e-6, "V", 25.0)
-    assert wavenumber(f1, sset) == pytest.approx(2 * np.pi * 2.2 / 1.55e-6,
-                                                 rel=1e-14)
+    k1 = wavenumber(sset, 1.55e-6, 25.0)
+    assert k1 == pytest.approx(2 * np.pi * 2.2 / 1.55e-6, rel=1e-14)
     # constant n: doubling the wavelength halves k
-    assert wavenumber(f1, sset) == pytest.approx(2 * wavenumber(f2, sset),
-                                                 rel=1e-14)
+    assert k1 == pytest.approx(2 * wavenumber(sset, 3.10e-6, 25.0),
+                               rel=1e-14)
 
 
 def test_wavenumber_matches_index_times_two_pi_over_lambda():
     sset = load_sellmeier("cln_o_edwards1984")
-    fld = OpticalField(1.594e-6, "V", 120.0)
-    n = refractive_index(fld, sset)
-    assert wavenumber(fld, sset) == pytest.approx(2 * np.pi * n / 1.594e-6,
-                                                  rel=1e-14)
+    n = checked_index(sset, 1.594, 120.0)
+    assert wavenumber(sset, 1.594e-6, 120.0) == pytest.approx(
+        2 * np.pi * n / 1.594e-6, rel=1e-14)
 
 
 def test_group_index_constant_set_equals_n():
     sset = const_set("c", Axis.ORDINARY, 2.31)
     fld = OpticalField(1.4e-6, "V", 25.0)
-    assert refractive_index(fld, sset) == 2.31
+    assert checked_index(sset, 1.4, 25.0) == 2.31
     assert sset.dn_dlam(1.4, 25.0) == 0.0
     assert group_index(fld, sset, method="analytic") == 2.31
 
@@ -198,7 +195,7 @@ def test_group_index_linear_set_closed_form():
     lam = 1.7
     fld = OpticalField(lam * 1e-6, "H", 25.0)
     n = np.sqrt(a1 - a6 * lam ** 2)
-    assert refractive_index(fld, sset) == pytest.approx(n, rel=1e-15)
+    assert checked_index(sset, lam, 25.0) == pytest.approx(n, rel=1e-15)
     assert sset.dn_dlam(lam, 25.0) == pytest.approx(-a6 * lam / n, rel=1e-14)
     assert group_index(fld, sset) == pytest.approx(a1 / n, rel=1e-14)
 
@@ -209,23 +206,23 @@ def test_group_index_matches_central_difference_of_index():
     lam, h, t_c = 1.55e-6, 1e-11, 120.0
 
     def n(x):
-        return refractive_index(OpticalField(x, "H", t_c), sset)
+        return checked_index(sset, x * 1e6, t_c)
 
     fd = n(lam) - lam * (n(lam + h) - n(lam - h)) / (2.0 * h)
     fld = OpticalField(lam, "H", t_c)
     an = group_index(fld, sset)
     assert abs(fd - an) < 1e-6
-    assert an > refractive_index(fld, sset)   # normal dispersion: n_g > n
+    assert an > n(lam)   # normal dispersion: n_g > n
 
 
 def test_range_errors_name_the_bound():
     sset = load_sellmeier("cln_e_edwards1984")
     lo, hi = sset.valid_wavelength_um
     with pytest.raises(WavelengthRangeError, match=f"{lo:g}"):
-        refractive_index(OpticalField((lo - 0.1) * 1e-6, "H", 120.0), sset)
+        checked_index(sset, lo - 0.1, 120.0)
     tlo, thi = sset.valid_temperature_C
     with pytest.raises(TemperatureRangeError, match=f"{thi:g}"):
-        refractive_index(OpticalField(1.55e-6, "H", thi + 1.0), sset)
+        checked_index(sset, 1.55, thi + 1.0)
 
 
 def test_group_index_finite_at_range_boundary():

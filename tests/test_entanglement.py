@@ -205,6 +205,12 @@ def test_mode_convert_input_validation():
     (0.0, np.nan, "delta_omega must be > 0"),
     (np.inf, 1e13, "delta_omega \\* tau must be finite"),
     (1e300, 1e13, "delta_omega \\* tau must be finite"),
+    # a float step of the phase nears 1e-9 rad at 2**22 rad (about 58 ns
+    # at 11.5 THz); 1e285 s is tomo table1's --taus-fs=1e300
+    (1.0, 2.0 ** 22, "within \\+-2\\*\\*22 rad"),
+    (-1.0, 2.0 ** 22, "within \\+-2\\*\\*22 rad"),
+    (60e-9, TWO_PI * 11.5e12, "within \\+-2\\*\\*22 rad"),
+    (1e285, TWO_PI * 11.5e12, "within \\+-2\\*\\*22 rad"),
 ])
 def test_conversion_rejects_a_bad_splitting_or_delay(tau, dw, needle):
     # a splitting of -11.5 THz imprinted the +11.5 THz phase's complement
@@ -225,7 +231,7 @@ def test_readme_library_example_runs(capsys):
 
 def test_conversion_phase_is_the_imprinted_phase():
     dw = TWO_PI * 11.5e12
-    for tau in (-20e-15, 0.0, 37e-15, 1e-9):
+    for tau in (-20e-15, 0.0, 37e-15, 1e-9, -50e-9):   # 50 ns < 2**22 rad
         phase = conversion_phase(tau, dw)
         assert 0.0 <= phase < TWO_PI
         assert phase == (dw * tau) % TWO_PI

@@ -20,10 +20,10 @@ from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError, WavelengthRangeError)
 from freqbin.qpm import (_CROSSING_TOL_C, _PAIR_TOL, Branch, CrystalSpec,
                          PhaseMatchPoint, PolingSegment, _bracketed_root,
-                         delta_k, crossing_temperature, load_crystal,
-                         solve_period, solve_signal_idler, tuning_curve)
+                         crossing_temperature, load_crystal, solve_period,
+                         solve_signal_idler, tuning_curve)
 
-from conftest import PAIRINGS, const_set, design_crystal
+from conftest import PAIRINGS, const_set, delta_k, design_crystal
 
 C = 2.99792458e8
 
@@ -97,28 +97,20 @@ def test_residual_below_tolerance(default_spec):
 
 
 def test_delta_k_matches_reported_residual(default_spec):
+    # the scalar SI-unit oracle against the solver's um-unit mismatch
     pt = solve_signal_idler(default_spec, 0)
-    pump = default_spec.field(pt.pump_wavelength,
-                              default_spec.pump_polarization)
-    sig = default_spec.field(pt.signal_wavelength, pt.signal_pol)
-    idl = default_spec.field(pt.idler_wavelength, pt.idler_pol)
-    dk = delta_k(default_spec, pump, sig, idl,
-                 period=default_spec.segments[0].period)
+    dk = delta_k(default_spec, pt.pump_wavelength, pt.signal_wavelength,
+                 pt.idler_wavelength, default_spec.segments[0].period,
+                 pt.signal_pol)
     assert dk == pytest.approx(pt.residual_mismatch, abs=1e-5)
 
 
 def test_delta_k_unpoled_equals_grating_at_root(const_crystal):
     pt = solve_signal_idler(const_crystal, 0)
-    pump = const_crystal.field(pt.pump_wavelength, "V")
-    sig = const_crystal.field(pt.signal_wavelength, "H")
-    idl = const_crystal.field(pt.idler_wavelength, "V")
     period = const_crystal.segments[0].period
-    free = delta_k(const_crystal, pump, sig, idl, np.inf)   # no grating
+    free = delta_k(const_crystal, pt.pump_wavelength, pt.signal_wavelength,
+                   pt.idler_wavelength, np.inf)   # no grating
     assert free == pytest.approx(2.0 * np.pi / period, rel=1e-10)
-    with pytest.raises(TypeError):
-        delta_k(const_crystal, pump, sig, idl)   # period forgotten
-    with pytest.raises(ValueError):
-        delta_k(const_crystal, pump, sig, idl, 0.0)
 
 
 def test_phase_match_point_rejects_nonconserving_triple():
@@ -126,6 +118,17 @@ def test_phase_match_point_rejects_nonconserving_triple():
         PhaseMatchPoint(pump_wavelength=775e-9, signal_wavelength=1.55e-6,
                         idler_wavelength=1.54e-6, signal_pol="H",
                         idler_pol="V", residual_mismatch=0.0)
+
+
+def test_phase_match_point_rejects_an_idler_polarized_as_its_signal():
+    # solve_period takes the idler's set from signal_pol.other, so an H/H
+    # target would get the V set silently (9.25 um on the default crystal;
+    # the H set gives 6.59 um)
+    lam_p, lam_s = 775e-9, 1.506e-6
+    lam_i = 1.0 / (1.0 / lam_p - 1.0 / lam_s)
+    for pol in ("H", "V"):
+        with pytest.raises(ValueError, match="idler_pol must be signal_pol"):
+            PhaseMatchPoint(lam_p, lam_s, lam_i, pol, pol, 0.0)
 
 
 def test_delta_omega_property():
@@ -243,10 +246,8 @@ def test_pair_root_properties(pairing, t_c, segment):
     period = spec.segments[segment].period
 
     def dk(lam_s):
-        lam_i = 1.0 / (1.0 / lp - 1.0 / lam_s)
-        return delta_k(spec, spec.field(lp, spec.pump_polarization),
-                       spec.field(lam_s, "H"), spec.field(lam_i, "V"),
-                       period=period)
+        return delta_k(spec, lp, lam_s, 1.0 / (1.0 / lp - 1.0 / lam_s),
+                       period)
 
     assert abs(dk(ls)) <= tol
     root = _bisect(dk, 1.2e-6, 1.9e-6, 0.0)
@@ -255,6 +256,63 @@ def test_pair_root_properties(pairing, t_c, segment):
     # segment's period up to the residual's share of the grating vector
     rel = abs(pt.residual_mismatch) * period / (2.0 * np.pi) + 1e-13
     assert solve_period(spec, pt) == pytest.approx(period, rel=rel)
+
+
+def _target(spec, signal_um, pol):
+    """The pair of ``spec``'s pump with signal ``signal_um`` [um] polarized
+    ``pol`` and its slaved idler."""
+    lam_p, lam_s = spec.pump_wavelength, signal_um * 1e-6
+    return PhaseMatchPoint(lam_p, lam_s, 1.0 / (1.0 / lam_p - 1.0 / lam_s),
+                           pol, pol.other, 0.0)
+
+
+@settings(max_examples=60)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       t_c=st.floats(50.0, 170.0), signal_um=st.floats(1.45, 1.60),
+       pol=st.sampled_from(tuple(Polarization)))
+def test_solve_period_is_two_pi_over_the_unpoled_mismatch(pairing, t_c,
+                                                          signal_um, pol):
+    # the scalar SI-unit oracle's 2 pi/(k_p - k_s - k_i), for either
+    # signal polarization (test_solve_period_impossible_sign takes a
+    # balance below zero)
+    spec = dataclasses.replace(design_crystal(pairing), temperature=t_c)
+    target = _target(spec, signal_um, pol)
+    free = delta_k(spec, target.pump_wavelength, target.signal_wavelength,
+                   target.idler_wavelength, np.inf, pol)
+    assert solve_period(spec, target) == pytest.approx(2.0 * np.pi / free,
+                                                       rel=1e-12)
+
+
+@settings(max_examples=30)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       role=st.sampled_from(("pump", "signal", "idler")),
+       signal_um=st.floats(1.45, 1.60),
+       pol=st.sampled_from(tuple(Polarization)))
+def test_solve_period_outside_validity_raises_the_sets_error(
+        pairing, role, signal_um, pol):
+    # one set's wavelength range shrunk to leave out one of the target's
+    # wavelengths, and none of the others: solve_period raises that set's
+    # error, word for word as the oracle, which checks pump, signal and
+    # idler in turn
+    base = design_crystal(pairing)
+    target = _target(base, signal_um, pol)
+    lam_um = 1e6 * {"pump": target.pump_wavelength,
+                    "signal": target.signal_wavelength,
+                    "idler": target.idler_wavelength}[role]
+    sset = base.sellmeier_for({"pump": base.pump_polarization,
+                               "signal": pol, "idler": pol.other}[role])
+    narrow = dataclasses.replace(sset, valid_wavelength_um=(
+        (lam_um + 0.01, 6.0) if role == "pump" else (0.2, lam_um - 0.01)))
+    spec = dataclasses.replace(base,
+                               sellmeier={**base.sellmeier, sset.axis: narrow})
+    with pytest.raises(WavelengthRangeError) as oracle:
+        delta_k(spec, target.pump_wavelength, target.signal_wavelength,
+                target.idler_wavelength, np.inf, pol)
+    with pytest.raises(WavelengthRangeError) as exc:
+        solve_period(spec, target)
+    assert str(exc.value) == str(oracle.value)
+    assert str(exc.value).startswith(
+        f"{sset.name}: wavelength {lam_um:.6g} um outside valid range")
 
 
 @settings(max_examples=25)
@@ -321,10 +379,8 @@ def test_no_crossing_reports_the_mismatch_at_the_bracket_ends(default_spec):
     def h(t):
         at = dataclasses.replace(default_spec, temperature=t)
         pair0 = solve_signal_idler(at, 0)
-        return delta_k(at, at.field(at.pump_wavelength, at.pump_polarization),
-                       at.field(pair0.idler_wavelength, "H"),
-                       at.field(pair0.signal_wavelength, "V"),
-                       period=at.segments[1].period)
+        return delta_k(at, at.pump_wavelength, pair0.idler_wavelength,
+                       pair0.signal_wavelength, at.segments[1].period)
 
     with pytest.raises(NoPhaseMatchError, match="rad/m") as exc:
         crossing_temperature(default_spec, t_bracket)
