@@ -22,6 +22,15 @@ independently of the dispersion model; with L1 an integer number of poling
 periods this is the textbook 2 pi (1/Lambda_1 - 1/Lambda_2) L2.
 ``reduce_to_bins`` takes phi = arg A_lo - arg A_hi from this form, as
 2 pi [(z_lo - L_tot)/Lambda_lo - (z_hi - L_tot)/Lambda_hi] (mod 2 pi).
+
+``joint_spectrum`` evaluates kappa and S on its grid once and builds
+every segment's amplitude from them, as ``segment_amplitude`` does for
+one segment. ``reduce_to_bins`` scans the compensation delay with one
+FFT of the exchange overlap O(tau) = sum(cross e^{i theta tau}), then
+finds the root of d|O|^2/dtau by Newton steps through
+``qpm._bracketed_root``, the package's one root finder, which falls back
+to Illinois steps inside the bracket. The curvature that Newton needs,
+2 (|S1|^2 - Re(conj(S0) S2)), reuses the slope's exponential.
 """
 from __future__ import annotations
 
@@ -100,6 +109,32 @@ class BiphotonState:
             raise PhysicalityError("tau_c must be > 0")
 
 
+def _grid_mismatch(spec: CrystalSpec, omega: np.ndarray) -> tuple:
+    """kappa = k_p - k_s - k_i and S = k_s + k_i [rad/m] at H-photon
+    frequencies ``omega`` [rad/s], every wavelength range-checked: the
+    dispersion every segment's amplitude reads."""
+    sets = _pair_sets(spec)
+    lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
+    t_c, lam_p_um = spec.temperature, spec.pump_wavelength * 1e6
+    _check_span(sets, t_c, lam_p_um, lam_s_um.min(), lam_s_um.max())
+    return tuple(1e6 * k for k in _mismatch(sets, t_c, lam_p_um, lam_s_um))
+
+
+def _amplitude(spec: CrystalSpec, segment_index: int, kappa, big_s, out):
+    """Segment ``segment_index``'s amplitude from ``_grid_mismatch``,
+    written into the complex array ``out`` of their shape."""
+    seg = spec.segments[segment_index]
+    dk = kappa - TWO_PI / seg.period
+    # sin(x)/x at x = dk L/2: numpy's sinc is sin(pi x)/(pi x)
+    amp = (seg.amplitude_scale * seg.length
+           * np.sinc(0.5 * dk * seg.length / np.pi))
+    phase = (kappa * spec.segment_start(segment_index)
+             + 0.5 * dk * seg.length + big_s * spec.total_length)
+    np.multiply(phase, 1j, out=out)
+    np.exp(out, out=out)
+    out *= amp
+
+
 def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
     """Complex emission amplitude of one segment at H-photon frequency(ies).
 
@@ -107,24 +142,9 @@ def segment_amplitude(spec: CrystalSpec, segment_index: int, omega_s):
     amplitude_scale * L * |sinc(dk L/2)| (meters), so at exact phase match
     |A| = scale * L.
     """
-    seg = spec.segments[segment_index]
-    sets = _pair_sets(spec)
     omega = np.asarray(omega_s, dtype=float)
-    lam_s_um = TWO_PI * C_M_PER_S * 1e6 / omega
-    t_c, lam_p_um = spec.temperature, spec.pump_wavelength * 1e6
-    _check_span(sets, t_c, lam_p_um, lam_s_um.min(), lam_s_um.max())
-
-    # rad/m: kappa = k_p - k_s - k_i, big_s = k_s + k_i
-    kappa, big_s = (1e6 * k for k in _mismatch(sets, t_c, lam_p_um,
-                                                lam_s_um))
-    dk = kappa - TWO_PI / seg.period
-
-    # sin(x)/x at x = dk L/2: numpy's sinc is sin(pi x)/(pi x)
-    amp = (seg.amplitude_scale * seg.length
-           * np.sinc(0.5 * dk * seg.length / np.pi))
-    phase = (kappa * spec.segment_start(segment_index)
-             + 0.5 * dk * seg.length + big_s * spec.total_length)
-    out = amp * np.exp(1j * phase)
+    out = np.empty(omega.shape, dtype=complex)
+    _amplitude(spec, segment_index, *_grid_mismatch(spec, omega), out)
     return complex(out) if omega.ndim == 0 else out
 
 
@@ -177,12 +197,17 @@ def joint_spectrum(spec: CrystalSpec, n_points: int = 4097,
     x = np.concatenate([-pos[::-1], [0.0], pos])
     omega = 0.5 * omega_p + x
 
-    per = np.vstack([segment_amplitude(spec, j, omega)
-                     for j in range(len(spec.segments))])
+    kappa, big_s = _grid_mismatch(spec, omega)
+    # each row is written and normalized in place: one copy of the
+    # amplitudes, whose grid-sized arrays set a design task's peak memory
+    per = np.empty((len(spec.segments), len(omega)), dtype=complex)
+    for j, row in enumerate(per):
+        _amplitude(spec, j, kappa, big_s, row)
+    del kappa, big_s
     total = per.sum(axis=0)
     norm = np.sqrt(np.sum(np.abs(total) ** 2) * dx)
-    per = per / norm
-    total = total / norm
+    per /= norm
+    total /= norm
     meta = {"span_rad_s": 2.0 * half_span, "resolution_rad_s": dx,
             "points": int(2 * m + 1), "lobes_margin": float(lobes),
             "points_per_lobe": float(min_lobe / dx), "omega_p_rad_s": omega_p}
@@ -202,7 +227,8 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     delay before any interference is observed). The search scans the
     delays within a span set by the group-delay walk-off with one FFT,
     then refines the best one to the root of the overlap's slope by the
-    pair solver's ``_bracketed_root``.
+    pair solver's ``_bracketed_root``, in Newton steps on the overlap's
+    curvature.
     """
     if sa.per_segment.shape[0] != 2:
         raise BinReductionError(
@@ -240,15 +266,10 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     p = float(weight_hi / (weight_hi + weight_lo))
 
     # exchange overlap, maximized over the compensation delay
-    cross = np.conj(a_hi) * a_lo[::-1] * d_om / np.sqrt(weight_hi * weight_lo)
-    theta = 2.0 * omega - omega_p
-    theta_cross = theta * cross
-
-    def slope(tau):
-        # d|O|^2/dtau = 2 Re(conj(S0) i S1) with S0 = sum(cross e^{i theta
-        # tau}) the overlap O and S1 = sum(theta cross e^{i theta tau})
-        e = np.exp(1j * tau * theta)
-        return -2.0 * (np.conj(cross @ e) * (theta_cross @ e)).imag
+    cross = np.conj(a_hi)
+    cross *= a_lo[::-1]
+    cross *= d_om
+    cross /= np.sqrt(weight_hi * weight_lo)
 
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))
@@ -258,21 +279,50 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     # size), size the power of two at or above the grid length. The
     # overlap repeats every pi / d_om in tau and the FFT's delays span one
     # such period, so they hold every value even when 2 t_span is longer.
+    # Only the delays in the span are formed, and the transform runs in
+    # place in its zero-padded buffer, dropped after: the scan is the
+    # largest set of arrays a design task holds at once.
     size = 1 << int(np.ceil(np.log2(len(cross))))
-    taus = np.fft.fftshift(np.pi * np.fft.fftfreq(size, d=d_om))
-    mags = np.fft.fftshift(np.abs(np.fft.ifft(cross, size)))
+    step = 1.0 / (size * d_om)         # np.fft.fftfreq's, times pi below
+    k_max = min(int(t_span / (np.pi * step)) + 1, size // 2)
+    ks = np.arange(-k_max, k_max)
+    taus = np.pi * (ks * step)
     keep = np.abs(taus) <= t_span
-    taus, mags = taus[keep], mags[keep]
+    ks, taus = ks[keep], taus[keep]
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[:len(cross)] = cross
+    mags = np.abs(np.fft.ifft(spectrum, out=spectrum)[ks])
+    del spectrum
     k = int(np.argmax(mags))
     tau_star = taus[k]
     a, b = taus[max(k - 1, 0)], taus[min(k + 1, len(taus) - 1)]
-    fa, fb = slope(a), slope(b)
+    theta = 2.0 * omega - omega_p
+
+    def slope(tau):
+        # d|O|^2/dtau = 2 Re(conj(S0) i S1) and its derivative
+        # 2 (|S1|^2 - Re(conj(S0) S2)), with Sm = sum(theta^m cross
+        # e^{i theta tau}) and S0 the overlap O: one exponential for both
+        w = (1j * tau) * theta
+        np.exp(w, out=w)
+        w *= cross
+        s0 = w.sum()
+        w *= theta
+        s1 = w.sum()
+        w *= theta
+        s2 = w.sum()
+        return (-2.0 * (s0.conjugate() * s1).imag,
+                2.0 * (abs(s1) ** 2 - (s0.conjugate() * s2).real))
+
+    (fa, dfa), (fb, dfb) = slope(a), slope(b)
     # a maximum lies between a and b only where the slope turns from
     # rising to falling; otherwise the overlap still rises toward the
-    # +-t_span edge, and tau_k is kept
+    # +-t_span edge, and tau_k is kept. Newton's steps start from the end
+    # whose own Newton step is the shorter.
     if fa > 0.0 > fb:
+        if abs(fa * dfb) < abs(fb * dfa):
+            a, b, fa, fb, dfb = b, a, fb, fa, dfa
         tau_star = _bracketed_root(slope, a, b, fa, fb,
-                                   xtol=1e-12 * (b - a))[0]
+                                   xtol=1e-12 * abs(b - a), dfb=dfb)[0]
     o_mag = float(abs(np.sum(cross * np.exp(1j * tau_star * theta))))
 
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * o_mag

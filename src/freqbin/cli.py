@@ -38,8 +38,10 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
 
     Without ``header`` the file is strict JSON, ``payload`` plus a ``meta``
     block: a NaN or infinity in it raises ValueError. With it the file is
-    CSV: ``# key: value`` metadata lines, the header, then ``rows``, whose
-    strings are written as they are and numbers through ``_fmt``.
+    CSV: ``# key: value`` metadata lines, the header, then ``rows``: a
+    row that is a string is one line written as it is, and any other row
+    a sequence of cells, whose strings are written as they are and
+    numbers through ``_fmt``.
     """
     meta = {"tool": "freqbin", "version": __version__,
             "timestamp": (args.timestamp
@@ -55,8 +57,9 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
                  f"# timestamp: {meta['timestamp']}", f"# seed: {seed}",
                  f"# config: {json.dumps(meta['config'], sort_keys=True)}",
                  header]
-        lines.extend(",".join(c if isinstance(c, str) else _fmt(c)
-                              for c in row) for row in rows)
+        lines.extend(row if isinstance(row, str)
+                     else ",".join(c if isinstance(c, str) else _fmt(c)
+                                   for c in row) for row in rows)
         text = "\n".join(lines)
     out = Path(args.out_dir or os.environ.get("FREQBIN_OUT_DIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -216,10 +219,14 @@ def cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     sa = joint_spectrum(spec, n_points=int(args.points),
                         lobes=float(args.lobes))
+    # every row in one format, as _fmt writes each number
+    row = ",".join(["{:.12g}"] * 5).format
     _write(args, "spectrum_jsa.csv",
            header="omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity",
-           rows=[(w, math.tau * C_M_PER_S / w * 1e9, t.real, t.imag,
-                  abs(t) ** 2) for w, t in zip(sa.omega, sa.total)])
+           rows=map(row, sa.omega.tolist(),
+                    (math.tau * C_M_PER_S / sa.omega * 1e9).tolist(),
+                    sa.total.real.tolist(), sa.total.imag.tolist(),
+                    sa.intensity.tolist()))
 
     if len(spec.segments) == 2:
         st = reduce_to_bins(sa, spec)
@@ -315,7 +322,7 @@ def _rho_from_args(args):
     if args.tau_fs is None and args.dw_thz is not None:
         raise ValueError(f"--dw-thz {args.dw_thz:g} is read only with "
                          "--tau-fs, which is not given")
-    from .dispersion import _json_file
+    from ._json import _json_file
     from .entanglement import DensityMatrix, mode_convert, rho_freq
     if args.rho:
         payload = _json_file(args.rho)
@@ -600,7 +607,7 @@ def _with_config(ap, argv) -> list:
         return argv                # the full parse reports it
     if not config:
         return argv
-    from .dispersion import _json_file
+    from ._json import _json_file
     payload = _json_file(config, "config file")
     parser, k = ap, 0          # follow the command words to the subcommand
     while k < len(argv) and argv[k] in _subparsers(parser):

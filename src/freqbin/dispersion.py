@@ -16,14 +16,11 @@ everything is pure and immutable after load, safe for concurrent callers.
 from __future__ import annotations
 
 import enum
-import json
-import numbers
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
+from ._json import _read_json
 from .errors import TemperatureRangeError, WavelengthRangeError
 
 
@@ -89,31 +86,33 @@ class SellmeierSet:
             key: float(self.coefficients.get(key, 0.0))
             for key in _COEFFICIENT_NAMES})
 
-    def index(self, lam_um, t_c):
-        """n(lam, T) for a scalar or array ``lam_um`` [um] at ``t_c``
-        [deg C]; array and elementwise scalar calls agree bit for bit.
-        No range check: see ``check_range``."""
+    def temperature_terms(self, t_c) -> tuple:
+        """The formula's terms at ``t_c`` [deg C], a scalar or an array:
+        (a1+b1 f, a2+b2 f, (a3+b3 f)^2, a4+b4 f, a5^2, a6), which
+        ``_squared_index`` and ``dn_dlam`` read. A solver that evaluates
+        many wavelengths at one temperature derives them once."""
         c = self.coefficients
         f = (t_c - c["t0"]) * (t_c + c["t1"])
-        lam2 = lam_um * lam_um
         pole1 = c["a3"] + c["b3"] * f
-        n2 = (c["a1"] + c["b1"] * f
-              + (c["a2"] + c["b2"] * f) / (lam2 - pole1 * pole1)
-              + (c["a4"] + c["b4"] * f) / (lam2 - c["a5"] * c["a5"])
-              - c["a6"] * lam2)
-        return np.sqrt(n2)
+        return (c["a1"] + c["b1"] * f, c["a2"] + c["b2"] * f, pole1 * pole1,
+                c["a4"] + c["b4"] * f, c["a5"] * c["a5"], c["a6"])
+
+    def index(self, lam_um, t_c):
+        """n(lam, T) for a scalar or array ``lam_um`` [um] at ``t_c``
+        [deg C]; array and elementwise scalar calls agree bit for bit, and
+        so does math.sqrt of ``_squared_index`` on Python floats.
+        No range check: see ``check_range``."""
+        return np.sqrt(_squared_index(self.temperature_terms(t_c), lam_um))
 
     def dn_dlam(self, lam_um, t_c):
         """Analytic dn/dlam [1/um], for the arguments ``index`` takes."""
-        c = self.coefficients
-        f = (t_c - c["t0"]) * (t_c + c["t1"])
+        _, b, pole2, d, e, a6 = self.temperature_terms(t_c)
         lam2 = lam_um * lam_um
-        pole1 = c["a3"] + c["b3"] * f
-        den1 = lam2 - pole1 * pole1
-        den2 = lam2 - c["a5"] * c["a5"]
-        dn2 = (-2.0 * lam_um * (c["a2"] + c["b2"] * f) / (den1 * den1)
-               - 2.0 * lam_um * (c["a4"] + c["b4"] * f) / (den2 * den2)
-               - 2.0 * c["a6"] * lam_um)
+        den1 = lam2 - pole2
+        den2 = lam2 - e
+        dn2 = (-2.0 * lam_um * b / (den1 * den1)
+               - 2.0 * lam_um * d / (den2 * den2)
+               - 2.0 * a6 * lam_um)
         return dn2 / (2.0 * self.index(lam_um, t_c))
 
     def group_index(self, lam_um, t_c):
@@ -133,6 +132,15 @@ class SellmeierSet:
                 f"valid range [{tlo:g}, {thi:g}] C")
 
 
+def _squared_index(terms, lam_um):
+    """n^2 at ``lam_um`` [um], a scalar or an array, from the
+    ``SellmeierSet.temperature_terms`` of one temperature: the one place
+    the index formula is written."""
+    a, b, pole2, d, e, a6 = terms
+    lam2 = lam_um * lam_um
+    return a + b / (lam2 - pole2) + d / (lam2 - e) - a6 * lam2
+
+
 @dataclass(frozen=True)
 class OpticalField:
     """A monochromatic field: vacuum wavelength [m], polarization, T [degC]."""
@@ -150,92 +158,6 @@ class OpticalField:
     @property
     def wavelength_um(self) -> float:
         return self.wavelength * 1e6
-
-
-class _JsonObject(dict):
-    """A parsed JSON object whose missing key raises ValueError naming the
-    file and the key, so a malformed input is a usage error (CLI exit 2)
-    and a bare KeyError stays a programming error."""
-
-    def __init__(self, pairs, where):
-        super().__init__(pairs)
-        self.where = where
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.where}: missing key '{key}'")
-
-    def number(self, key, default=None):
-        """The JSON number at ``key`` (``default`` when given and the key
-        is absent); ValueError naming the file and the key otherwise."""
-        value = self[key] if default is None else self.get(key, default)
-        return _number(value, f"{self.where}: '{key}'")
-
-    def object(self, key) -> "_JsonObject":
-        """The JSON object at ``key``; ValueError naming the file and the
-        key otherwise."""
-        value = self[key]
-        if not isinstance(value, _JsonObject):
-            raise ValueError(f"{self.where}: '{key}' must be a JSON object, "
-                             f"not {type(value).__name__}")
-        return value
-
-    def pairs(self, key, name=None) -> list:
-        """The list of two-element lists at ``key``, as tuples; ValueError
-        naming the file and ``name`` (default ``key``), or the entry that is
-        no pair, otherwise."""
-        name, value = name or key, self[key]
-        if not isinstance(value, list):
-            raise ValueError(f"{self.where}: '{name}' must be a list of "
-                             "pairs")
-        for k, item in enumerate(value):
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ValueError(f"{self.where}: '{name}[{k}]' must be a "
-                                 f"pair, not {item!r}")
-        return [tuple(item) for item in value]
-
-    def bounds(self, key) -> tuple:
-        """The [low, high] pair at ``key``, each checked as by ``number``."""
-        pair = self[key]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{self.where}: '{key}' must be [low, high]")
-        return tuple(_number(v, f"{self.where}: '{key}'") for v in pair)
-
-
-def _number(value, what: str):
-    """``value`` if it is a finite real number (a bool is not); otherwise
-    ValueError saying that ``what`` must be one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not np.isfinite(value)):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-    return value
-
-
-def _json_file(path, what: str = "file") -> dict:
-    """The JSON object in file ``path``, objects as _JsonObject naming the
-    file; FileNotFoundError "no such <what>: <path>" when it is missing,
-    ValueError naming it unless it holds an object."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such {what}: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"),
-                         object_pairs_hook=lambda p: _JsonObject(p, path))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, not "
-                         f"{type(payload).__name__}")
-    return payload
-
-
-def _read_json(kind: str, source) -> dict:
-    """Parsed JSON of ``source``: an existing file path, else the bundled
-    ``data/<kind>/<source>.json``; FileNotFoundError naming both otherwise."""
-    path = Path(source)
-    if not path.is_file():
-        path = resources.files("freqbin").joinpath(
-            f"data/{kind}/{source}.json")
-        if not path.is_file():
-            raise FileNotFoundError(f"no file '{source}' and no bundled "
-                                    f"data/{kind}/{source}.json")
-    return _json_file(path)
 
 
 # the top-level keys of a Sellmeier file

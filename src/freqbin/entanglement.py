@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from ._conversion import conversion_phase
-from .dispersion import _number, _read_json
+from ._json import _number, _read_json
 from .errors import (BasisMismatchError, FitConvergenceError,
                      PhysicalityError, TomographyDataError)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import _number
+from ._json import _number
 from .errors import FitConvergenceError
 
 _PARAM_NAMES = ("N", "V", "delta_omega", "tau_c", "tau_offset")

@@ -15,7 +15,10 @@ serves every caller: it range-checks each row, scans all rows' mismatch
 for sign changes in one call, and refines each bracketed root by
 Illinois regula falsi (``_bracketed_root``): derivative-free like
 bisection and as safe, since the bracket always holds a sign change,
-but superlinear. Each row repeats a one-row solve's
+but superlinear. A refinement step evaluates ``_row_mismatch``: the
+row's Sellmeier terms and k_p are derived once, and each step computes
+k_s and k_i in Python floats, bit for bit ``_mismatch``'s values. Each
+row repeats a one-row solve's
 arithmetic, so a ``tuning_curve`` (one call over the sweep) and
 ``biphoton.joint_spectrum`` (one call per segment) return bit for bit
 what ``solve_signal_idler`` (the one-row call) returns point by point.
@@ -24,19 +27,23 @@ what ``solve_signal_idler`` (the one-row call) returns point by point.
 call, then runs the same root finder on one mismatch: segment 1's at
 segment 0's idler, which vanishes where the segments emit one pair, roles
 exchanged. ``biphoton.reduce_to_bins`` refines its compensation delay
-with it too, on the overlap's slope: it is the package's one root finder.
+with it too, on the overlap's slope, and passes the slope's derivative,
+so that its steps are Newton's wherever they stay inside the bracket:
+``_bracketed_root`` is the package's one root finder.
 Everything is pure over immutable specs.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dispersion
+from ._json import _read_json
 from .dispersion import (Axis, OpticalField, Polarization, SellmeierSet,
-                         _read_json)
+                         _squared_index)
 from .errors import (BranchAmbiguityError, NoPhaseMatchError,
                      TemperatureRangeError, WavelengthRangeError)
 
@@ -251,22 +258,63 @@ def _mismatch(sets, t_c, lam_p_um, lam_s_um, period_um=np.inf):
     return kp - ks - ki - TWO_PI / period_um, ks + ki
 
 
-def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
+def _row_mismatch(sets, t_c, lam_p_um, period_um=math.inf):
+    """One row's k_p - k_s - k_i - 2 pi/period_um [rad/um] as a function of
+    the signal [um] alone, in Python floats.
+
+    Each set's temperature terms and the pump's k_p are derived once, so a
+    call evaluates only k_s and k_i, and returns bit for bit what
+    ``_mismatch`` returns for that signal (NaN where an n^2 is negative,
+    as numpy's square root gives there). Nothing is range-checked.
+    """
+    p_terms, s_terms, i_terms = (s.temperature_terms(t_c) for s in sets)
+    kp = TWO_PI * float(np.sqrt(_squared_index(p_terms, lam_p_um))) / lam_p_um
+    inv_p, grating = 1.0 / lam_p_um, TWO_PI / period_um
+
+    def dk(lam_s_um):
+        lam_i = 1.0 / (inv_p - 1.0 / lam_s_um)
+        try:
+            ks = (TWO_PI * math.sqrt(_squared_index(s_terms, lam_s_um))
+                  / lam_s_um)
+            ki = TWO_PI * math.sqrt(_squared_index(i_terms, lam_i)) / lam_i
+        except (ArithmeticError, ValueError):   # on a pole, or n^2 < 0
+            return math.nan
+        return kp - ks - ki - grating
+
+    return dk
+
+
+def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
     """Root of ``f`` between ``a`` and ``b`` (``fa``, ``fb`` of opposite
-    sign) by Illinois regula falsi.
+    sign) by Illinois regula falsi, or by Newton steps given a derivative.
 
     The new point replaces the bracket end whose sign it shares; when the
     same end survives twice in a row, its stored value is halved so the
     next step lands on its side and both ends close in. Stops at an exact
     zero or once the bracket is no wider than ``xtol``; returns the last
     point and its value.
+
+    Given ``dfb``, f' at ``b``, ``f`` returns (f(x), f'(x)), and each step
+    is Newton's from the last point while it lands strictly inside the
+    bracket; where it would not, or f' is 0, the step is the Illinois one.
+    The search then also stops at a point whose own Newton step,
+    |f/f'|, is no longer than ``xtol``.
     """
+    derivative = dfb is not None
     x, fx = a, fa
     for _ in range(maxiter):
-        x = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < x < max(a, b):   # rounding at a flat end
-            x = 0.5 * (a + b)
-        fx = f(x)
+        newton = False
+        if dfb:     # None without a derivative, and 0 leaves no step
+            x = b - fb / dfb
+            newton = min(a, b) < x < max(a, b)
+        if not newton:
+            x = b - fb * (b - a) / (fb - fa)
+            if not min(a, b) < x < max(a, b):   # rounding at a flat end
+                x = 0.5 * (a + b)
+        if derivative:
+            fx, dfb = f(x)
+        else:
+            fx = f(x)
         if fx == 0.0:
             break
         if fx * fb < 0.0:
@@ -274,7 +322,8 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200):
         else:
             fa *= 0.5
         b, fb = x, fx
-        if abs(b - a) <= xtol:
+        if abs(b - a) <= xtol or (derivative
+                                  and abs(fx) <= xtol * abs(dfb)):
             break
     return x, fx
 
@@ -367,12 +416,9 @@ def _solve_rows(spec: CrystalSpec, segment_index: int, t_c, lam_p,
         t, lp = rows[r]
         t, lp_um = float(t), float(lp) * 1e6
         dk_row = dk_grid[k]
-
-        def dk(lam_s_um):
-            return _mismatch(sets, t, lp_um, lam_s_um, per_um)[0]
-
-        roots = [_bracketed_root(dk, lam_grid[i], lam_grid[i + 1],
-                                 dk_row[i], dk_row[i + 1],
+        dk = _row_mismatch(sets, t, lp_um, per_um)
+        roots = [_bracketed_root(dk, *map(float, (lam_grid[i], lam_grid[i + 1],
+                                                  dk_row[i], dk_row[i + 1])),
                                  xtol=1e-15 * hi_um)
                  for i in np.nonzero(flips[k])[0]]
         roots += [(lam_grid[i], dk_row[i])
@@ -510,7 +556,7 @@ def crossing_temperature(spec: CrystalSpec,
     def h(t, pair0):
         mu = pair0.idler_wavelength * 1e6
         _check_span(sets, t, lam_p_um, mu, mu)
-        return _mismatch(sets, t, lam_p_um, mu, period_um)[0] * 1e6
+        return _row_mismatch(sets, t, lam_p_um, period_um)(mu) * 1e6
 
     lo, hi = float(t_bracket[0]), float(t_bracket[1])
     lo0, hi0 = _solved(_solve_rows(spec, 0, (lo, hi), spec.pump_wavelength))

@@ -17,7 +17,8 @@ from freqbin.biphoton import (BiphotonState, _group_index_mismatch,
 from freqbin.dispersion import group_index
 from freqbin.errors import (BinReductionError, GridResolutionError,
                             PhysicalityError)
-from freqbin.qpm import PolingSegment, TWO_PI
+from freqbin.qpm import (PolingSegment, TWO_PI, _bracketed_root,
+                         crossing_temperature)
 
 from conftest import PAIRINGS, design_crystal
 
@@ -220,10 +221,10 @@ def test_reduction_stable_under_grid_refinement(default_spec, default_state):
 
 
 def _overlap_setup(sa, spec):
-    """(p, overlap magnitude as a function of delays, t_span), built from
-    the reduction's definitions: the exchange overlap of the normalized
-    segment amplitudes and the delay span set by the group-delay
-    walk-off."""
+    """(p, overlap magnitude as a function of delays, t_span, cross,
+    theta), built from the reduction's definitions: the exchange overlap
+    sum(cross e^{i theta tau}) of the normalized segment amplitudes and
+    the delay span set by the group-delay walk-off."""
     points = sa.segment_points
     centers = [TWO_PI * C / pt.signal_wavelength for pt in points]
     hi = int(np.argmax(centers))
@@ -246,14 +247,14 @@ def _overlap_setup(sa, spec):
     t_span = 1.2 * (sum(widths) + abs(spec.segment_start(hi)
                                       - spec.segment_start(lo))
                     * max(dng) / C)
-    return p, overlap_mag, t_span
+    return p, overlap_mag, t_span, cross, theta
 
 
 def _reference_reduction(sa, spec, tau_scan_points=801):
     """(p, V, compensation delay) by the direct delay search: the overlap
     summed on a uniform grid of tau_scan_points delays over +-t_span (one
     block of delays at a time), then golden-section refinement."""
-    p, overlap_mag, t_span = _overlap_setup(sa, spec)
+    p, overlap_mag, t_span, *_ = _overlap_setup(sa, spec)
     taus = np.linspace(-t_span, t_span, tau_scan_points)
     mags = np.concatenate([overlap_mag(block)
                            for block in np.array_split(taus, 16)])
@@ -274,6 +275,45 @@ def _reference_reduction(sa, spec, tau_scan_points=801):
     tau_star = 0.5 * (a + b)
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * overlap_mag(tau_star)[0]
     return p, min(vis, 1.0), tau_star
+
+
+def _illinois_delay(sa, spec):
+    """(delay, V, bracket width) as ``reduce_to_bins`` found them before it
+    took Newton steps, kept as the oracle of its refinement: the FFT's
+    best delay in the span, then Illinois regula falsi on the overlap's
+    slope between that delay's two neighbours, down to 1e-12 of their
+    distance."""
+    p, overlap_mag, t_span, cross, theta = _overlap_setup(sa, spec)
+    size = 1 << int(np.ceil(np.log2(len(cross))))
+    taus = np.fft.fftshift(np.pi * np.fft.fftfreq(size, d=sa.d_omega))
+    mags = np.fft.fftshift(np.abs(np.fft.ifft(cross, size)))
+    keep = np.abs(taus) <= t_span
+    taus, mags = taus[keep], mags[keep]
+    k = int(np.argmax(mags))
+    a, b = taus[k - 1], taus[k + 1]
+
+    def slope(tau):
+        e = np.exp(1j * tau * theta)
+        return -2.0 * (np.conj(cross @ e) * ((theta * cross) @ e)).imag
+
+    fa, fb = slope(a), slope(b)
+    assert fa > 0.0 > fb        # a maximum between the neighbours
+    tau = _bracketed_root(slope, a, b, fa, fb, xtol=1e-12 * (b - a))[0]
+    return tau, 2.0 * np.sqrt(p * (1.0 - p)) * overlap_mag(tau)[0], b - a
+
+
+@pytest.mark.parametrize("pairing", [None, *sorted(PAIRINGS)])
+@pytest.mark.parametrize("dt_c", [-0.5, 0.5])
+def test_newton_delay_matches_the_illinois_refinement(default_spec, pairing,
+                                                      dt_c):
+    spec = default_spec if pairing is None else design_crystal(pairing)
+    spec = dataclasses.replace(
+        spec, temperature=crossing_temperature(spec) + dt_c)
+    sa = joint_spectrum(spec)
+    state = reduce_to_bins(sa, spec)
+    tau, vis, width = _illinois_delay(sa, spec)
+    assert abs(state.compensation_delay - tau) <= 1e-12 * width
+    assert state.V == pytest.approx(vis, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n_points", [4097, 8193])
@@ -314,14 +354,14 @@ def test_delay_peak_beyond_span_keeps_edge_sample(default_spec,
     between the FFT's last two delays in the span (its slope does not turn
     from rising to falling there), so the search keeps the edge sample."""
     sa = default_state.spectrum
-    _, _, t_span = _overlap_setup(sa, default_spec)
+    t_span = _overlap_setup(sa, default_spec)[2]
     shift = 2.0 * (t_span + default_state.tau_c
                    - default_state.compensation_delay)
     per = sa.per_segment.copy()
     per[0] = per[0] * np.exp(1j * sa.omega * shift)
     moved = dataclasses.replace(sa, per_segment=per)
     state = reduce_to_bins(moved, default_spec)
-    p, overlap_mag, _ = _overlap_setup(moved, default_spec)
+    p, overlap_mag, *_ = _overlap_setup(moved, default_spec)
     delay = state.compensation_delay
     assert all(np.isfinite([state.p, state.V, state.phi, delay]))
     assert abs(delay) <= t_span

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from freqbin import errors
-from freqbin.cli import _build_parser, main
+from freqbin.biphoton import joint_spectrum
+from freqbin.cli import _build_parser, _fmt, main
 from freqbin.entanglement import mode_convert, rho_freq
 from freqbin.hom import HomParams, synthesize_scan
 from freqbin.qpm import Branch, load_crystal, solve_signal_idler
@@ -212,6 +213,12 @@ def test_spectrum_outputs(tmp_path, capsys):
     w = np.array([float(r[0]) for r in rows])
     inten = np.array([float(r[4]) for r in rows])
     assert np.trapezoid(inten, w) == pytest.approx(1.0, rel=1e-4)
+    # each cell is _fmt of the library's value at that point
+    sa = joint_spectrum(load_crystal("default"))
+    c = 2.99792458e8
+    assert rows == [[_fmt(x) for x in (o, 2.0 * np.pi * c / o * 1e9, t.real,
+                                       t.imag, abs(t) ** 2)]
+                    for o, t in zip(sa.omega, sa.total)]
 
 
 @pytest.mark.parametrize("lobes", ["-1", "0"])

@@ -10,13 +10,15 @@ the solvers read them: ``check_range`` first, then ``SellmeierSet.index``
 (``conftest.checked_index``).
 """
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin.dispersion import (Axis, OpticalField, SellmeierSet,
-                                group_index, load_sellmeier)
+                                _squared_index, group_index, load_sellmeier)
 from freqbin.entanglement import load_projectors
 from freqbin.errors import TemperatureRangeError, WavelengthRangeError
 from freqbin.qpm import load_crystal
@@ -104,6 +106,31 @@ def test_array_call_equals_elementwise_scalar_calls(name):
         each = np.array([[evaluate(float(lam), t) for lam in row]
                          for row in lams])
         assert np.array_equal(many, each)
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(BUNDLED_SETS), u_t=st.floats(0.0, 1.0),
+       u_lams=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_temperature_terms_reproduce_index_bit_for_bit(name, u_t, u_lams):
+    # the solvers derive a temperature's terms once and evaluate n in
+    # Python floats; that must be the index, scalar and array, exactly
+    sset = load_sellmeier(name)
+    (lo, hi), (tlo, thi) = sset.valid_wavelength_um, sset.valid_temperature_C
+    t = tlo + u_t * (thi - tlo)
+    lams = [min(lo + u * (hi - lo), hi) for u in u_lams]
+    terms = sset.temperature_terms(t)
+    assert all(type(term) is float for term in terms)
+    scalar = [math.sqrt(_squared_index(terms, lam)) for lam in lams]
+    assert scalar == [float(sset.index(lam, t)) for lam in lams]
+    assert np.array_equal(np.sqrt(_squared_index(terms, np.array(lams))),
+                          sset.index(np.array(lams), t))
+    assert scalar == sset.index(np.array(lams), t).tolist()
+    # an array of temperatures gives each temperature's own terms
+    ts = np.array([tlo, t, thi])
+    for k, row in enumerate(np.broadcast_arrays(
+            *sset.temperature_terms(ts))):
+        assert row.tolist() == [sset.temperature_terms(float(x))[k]
+                                for x in ts]
 
 
 def test_unknown_coefficient_names_are_rejected():

@@ -9,6 +9,7 @@ crystal (one index for signal and idler) is symmetric under signal<->idler
 exchange, so its roots come in mirrored pairs.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from freqbin.errors import (BranchAmbiguityError, NoPhaseMatchError,
                             TemperatureRangeError, WavelengthRangeError)
 from freqbin.qpm import (_CROSSING_TOL_C, _PAIR_TOL, Branch, CrystalSpec,
                          PhaseMatchPoint, PolingSegment, _bracketed_root,
+                         _mismatch, _pair_sets, _row_mismatch,
                          crossing_temperature, load_crystal, solve_period,
                          solve_signal_idler, tuning_curve)
 
@@ -215,6 +217,61 @@ def test_bracketed_root_is_superlinear():
     assert len(calls) <= 15
     assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
     assert fx == f(x)
+
+
+def _with_slope(calls, f, df):
+    """(f, f') as ``_bracketed_root`` takes them, recording each point."""
+    def both(x):
+        calls.append(x)
+        return f(x), df(x)
+    return both
+
+
+def test_bracketed_root_newton_converges_quadratically():
+    calls = []
+    g = _with_slope(calls, lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x)
+    x, fx = _bracketed_root(g, 0.0, 3.0, -2.0, 25.0, xtol=1e-15, dfb=27.0)
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    assert fx == x ** 3 - 2.0
+    # Newton from 3: 2.074, 1.538, 1.307, 1.2616, 1.259923, 1.25992105,
+    # where Illinois alone takes 12 points
+    assert calls[0] == 3.0 - 25.0 / 27.0
+    assert len(calls) <= 7
+
+
+def test_bracketed_root_takes_the_illinois_step_where_newton_cannot():
+    # f' = 0 at the start (x^2 - 1 at 0), then a Newton step that leaves
+    # the bracket (atan from 10 lands near -139): both are Illinois steps,
+    # and the search still converges
+    for f, df, a, b, dfb in ((lambda x: x * x - 1.0, lambda x: 2.0 * x,
+                              3.0, 0.0, 0.0),
+                             (math.atan, lambda x: 1.0 / (1.0 + x * x),
+                              -1.0, 10.0, 1.0 / 101.0)):
+        calls = []
+        fa, fb = f(a), f(b)
+        x, _ = _bracketed_root(_with_slope(calls, f, df), a, b, fa, fb,
+                               xtol=1e-14, dfb=dfb)
+        assert calls[0] == b - fb * (b - a) / (fb - fa)
+        assert abs(f(x)) < 1e-14
+        assert len(calls) <= 8
+
+
+@settings(max_examples=30)
+@given(pairing=st.sampled_from(sorted(PAIRINGS)),
+       t_c=st.floats(50.0, 170.0), lam_s=st.floats(1.2, 1.9),
+       period_um=st.sampled_from([np.inf, 7.4, 9.6]),
+       pol=st.sampled_from(["H", "V"]))
+def test_row_mismatch_is_the_array_mismatch_bit_for_bit(pairing, t_c, lam_s,
+                                                        period_um, pol):
+    # the pair solves refine in Python floats on one row's terms; each
+    # value must equal the array scan's at the same signal
+    sets = _pair_sets(design_crystal(pairing), Polarization(pol))
+    lam_p = 0.775
+    dk = _row_mismatch(sets, t_c, lam_p, period_um)
+    grid = np.array([1.2, lam_s, 1.9])
+    scan = _mismatch(sets, np.array([[t_c]]), lam_p, grid, period_um)[0][0]
+    assert [dk(float(x)) for x in grid] == scan.tolist()
+    assert dk(lam_s) == _mismatch(sets, t_c, lam_p, lam_s, period_um)[0]
 
 
 def _bisect(f, lo, hi, width):

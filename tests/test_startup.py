@@ -7,6 +7,7 @@ one has loaded every layer already.
 """
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,8 +80,25 @@ def test_hom_and_tomo_steps_load_no_phase_matching(tmp_path):
                  ["tomo", "reconstruct", "--data", f"{out}/tomo_counts.csv"]):
         code, names = _loaded(_CLI, *argv, "--out-dir", out)
         assert code == 0
-        assert "freqbin.qpm" not in names
-        assert "freqbin.biphoton" not in names
+        assert not {"freqbin.dispersion", "freqbin.qpm",
+                    "freqbin.biphoton"} & names
+
+
+def test_a_renamed_copy_reads_its_own_bundled_data(tmp_path):
+    # the package finds its data through its own name, so a copy imported
+    # under another one (an A/B of two trees in one process) needs no
+    # package called freqbin
+    shutil.copytree(SRC + "/freqbin", tmp_path / "freqbin_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = ("import freqbin_copy as f\n"
+            "spec = f.load_crystal('default')\n"
+            "assert spec.sellmeier_for('H').name == 'cln_e_edwards1984'\n"
+            "assert len(f.load_projectors('james16')) == 16\n"
+            "import sys; assert 'freqbin' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_name_resolves_from_its_submodule():
