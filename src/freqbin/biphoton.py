@@ -122,14 +122,19 @@ def _grid_mismatch(spec: CrystalSpec, omega: np.ndarray) -> tuple:
 
 def _amplitude(spec: CrystalSpec, segment_index: int, kappa, big_s, out):
     """Segment ``segment_index``'s amplitude from ``_grid_mismatch``,
-    written into the complex array ``out`` of their shape."""
+    written into the complex array ``out`` of their shape. Each grid-sized
+    intermediate is formed in place where the operation order allows."""
     seg = spec.segments[segment_index]
-    dk = kappa - TWO_PI / seg.period
+    half_dk_l = kappa - TWO_PI / seg.period
+    half_dk_l *= 0.5
+    half_dk_l *= seg.length                 # dk L / 2
     # sin(x)/x at x = dk L/2: numpy's sinc is sin(pi x)/(pi x)
-    amp = (seg.amplitude_scale * seg.length
-           * np.sinc(0.5 * dk * seg.length / np.pi))
-    phase = (kappa * spec.segment_start(segment_index)
-             + 0.5 * dk * seg.length + big_s * spec.total_length)
+    amp = np.sinc(half_dk_l / np.pi)
+    amp *= seg.amplitude_scale * seg.length
+    phase = kappa * spec.segment_start(segment_index)
+    phase += half_dk_l
+    del half_dk_l
+    phase += big_s * spec.total_length
     np.multiply(phase, 1j, out=out)
     np.exp(out, out=out)
     out *= amp
@@ -279,9 +284,10 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     # size), size the power of two at or above the grid length. The
     # overlap repeats every pi / d_om in tau and the FFT's delays span one
     # such period, so they hold every value even when 2 t_span is longer.
-    # Only the delays in the span are formed, and the transform runs in
-    # place in its zero-padded buffer, dropped after: the scan is the
-    # largest set of arrays a design task holds at once.
+    # Only the delays in the span are formed. The scan only ranks delays,
+    # so it runs in single precision, which halves the transform's
+    # buffers, the largest arrays a design task holds at once; the
+    # refinement below works in double precision.
     size = 1 << int(np.ceil(np.log2(len(cross))))
     step = 1.0 / (size * d_om)         # np.fft.fftfreq's, times pi below
     k_max = min(int(t_span / (np.pi * step)) + 1, size // 2)
@@ -289,14 +295,12 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
     taus = np.pi * (ks * step)
     keep = np.abs(taus) <= t_span
     ks, taus = ks[keep], taus[keep]
-    spectrum = np.zeros(size, dtype=complex)
-    spectrum[:len(cross)] = cross
-    mags = np.abs(np.fft.ifft(spectrum, out=spectrum)[ks])
-    del spectrum
+    mags = np.abs(np.fft.ifft(cross.astype(np.complex64), size)[ks])
     k = int(np.argmax(mags))
     tau_star = taus[k]
     a, b = taus[max(k - 1, 0)], taus[min(k + 1, len(taus) - 1)]
     theta = 2.0 * omega - omega_p
+    overlaps = {}       # the overlap O at each delay the slope is taken
 
     def slope(tau):
         # d|O|^2/dtau = 2 Re(conj(S0) i S1) and its derivative
@@ -305,7 +309,7 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
         w = (1j * tau) * theta
         np.exp(w, out=w)
         w *= cross
-        s0 = w.sum()
+        s0 = overlaps[tau] = w.sum()
         w *= theta
         s1 = w.sum()
         w *= theta
@@ -323,7 +327,10 @@ def reduce_to_bins(sa: SpectralAmplitude, spec: CrystalSpec) -> BiphotonState:
             a, b, fa, fb, dfb = b, a, fb, fa, dfa
         tau_star = _bracketed_root(slope, a, b, fa, fb,
                                    xtol=1e-12 * abs(b - a), dfb=dfb)[0]
-    o_mag = float(abs(np.sum(cross * np.exp(1j * tau_star * theta))))
+        overlap = overlaps[tau_star]    # the search's last point
+    else:
+        overlap = np.sum(cross * np.exp(1j * tau_star * theta))
+    o_mag = float(abs(overlap))
 
     vis = 2.0 * np.sqrt(p * (1.0 - p)) * o_mag
 

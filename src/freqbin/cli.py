@@ -28,9 +28,12 @@ _USAGE = (FileNotFoundError, IsADirectoryError, ValueError)
 _UNRECORDED = {"func", "error_json", "timestamp", "out_dir", "config"}
 
 
+_NUMBER = "{:.12g}"     # the format of every number in a CSV cell
+
+
 def _fmt(x) -> str:
     """Deterministic short float formatting for CSV cells."""
-    return "nan" if x is None else f"{x:.12g}"
+    return "nan" if x is None else _NUMBER.format(x)
 
 
 def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
@@ -38,10 +41,8 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
 
     Without ``header`` the file is strict JSON, ``payload`` plus a ``meta``
     block: a NaN or infinity in it raises ValueError. With it the file is
-    CSV: ``# key: value`` metadata lines, the header, then ``rows``: a
-    row that is a string is one line written as it is, and any other row
-    a sequence of cells, whose strings are written as they are and
-    numbers through ``_fmt``.
+    CSV: ``# key: value`` metadata lines, the header, then ``rows``, whose
+    strings are written as they are and numbers through ``_fmt``.
     """
     meta = {"tool": "freqbin", "version": __version__,
             "timestamp": (args.timestamp
@@ -57,9 +58,8 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
                  f"# timestamp: {meta['timestamp']}", f"# seed: {seed}",
                  f"# config: {json.dumps(meta['config'], sort_keys=True)}",
                  header]
-        lines.extend(row if isinstance(row, str)
-                     else ",".join(c if isinstance(c, str) else _fmt(c)
-                                   for c in row) for row in rows)
+        lines.extend(",".join(c if isinstance(c, str) else _fmt(c)
+                              for c in row) for row in rows)
         text = "\n".join(lines)
     out = Path(args.out_dir or os.environ.get("FREQBIN_OUT_DIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -219,14 +219,15 @@ def cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     sa = joint_spectrum(spec, n_points=int(args.points),
                         lobes=float(args.lobes))
-    # every row in one format, as _fmt writes each number
-    row = ",".join(["{:.12g}"] * 5).format
+    # each row is one cell, formatted in one call as _fmt formats numbers
+    row = ",".join([_NUMBER] * 5).format
     _write(args, "spectrum_jsa.csv",
            header="omega_s_rad_s,lambda_s_nm,re_total,im_total,intensity",
-           rows=map(row, sa.omega.tolist(),
-                    (math.tau * C_M_PER_S / sa.omega * 1e9).tolist(),
-                    sa.total.real.tolist(), sa.total.imag.tolist(),
-                    sa.intensity.tolist()))
+           rows=((line,) for line in map(
+               row, sa.omega.tolist(),
+               (math.tau * C_M_PER_S / sa.omega * 1e9).tolist(),
+               sa.total.real.tolist(), sa.total.imag.tolist(),
+               sa.intensity.tolist())))
 
     if len(spec.segments) == 2:
         st = reduce_to_bins(sa, spec)

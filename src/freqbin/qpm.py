@@ -297,15 +297,18 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
     Given ``dfb``, f' at ``b``, ``f`` returns (f(x), f'(x)), and each step
     is Newton's from the last point while it lands strictly inside the
     bracket; where it would not, or f' is 0, the step is the Illinois one.
-    The search then also stops at a point whose own Newton step,
-    |f/f'|, is no longer than ``xtol``.
+    A Newton step shorter than ``xtol / 2`` is lengthened to that, so once
+    Newton has converged its next point lands past the root and closes
+    the bracket: with or without a derivative, the point returned is an
+    end of a bracket no wider than ``xtol``.
     """
     derivative = dfb is not None
     x, fx = a, fa
     for _ in range(maxiter):
         newton = False
         if dfb:     # None without a derivative, and 0 leaves no step
-            x = b - fb / dfb
+            step = -fb / dfb
+            x = b + math.copysign(max(abs(step), 0.5 * xtol), step)
             newton = min(a, b) < x < max(a, b)
         if not newton:
             x = b - fb * (b - a) / (fb - fa)
@@ -322,8 +325,7 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
         else:
             fa *= 0.5
         b, fb = x, fx
-        if abs(b - a) <= xtol or (derivative
-                                  and abs(fx) <= xtol * abs(dfb)):
+        if abs(b - a) <= xtol:
             break
     return x, fx
 

@@ -302,17 +302,37 @@ def _illinois_delay(sa, spec):
     return tau, 2.0 * np.sqrt(p * (1.0 - p)) * overlap_mag(tau)[0], b - a
 
 
-@pytest.mark.parametrize("pairing", [None, *sorted(PAIRINGS)])
-@pytest.mark.parametrize("dt_c", [-0.5, 0.5])
-def test_newton_delay_matches_the_illinois_refinement(default_spec, pairing,
-                                                      dt_c):
-    spec = default_spec if pairing is None else design_crystal(pairing)
-    spec = dataclasses.replace(
-        spec, temperature=crossing_temperature(spec) + dt_c)
-    sa = joint_spectrum(spec)
+# generated design crystals (pairing, T0 [C], signal [um], length [mm],
+# grid points) on which the Newton delay and the Illinois one lie more
+# than one tolerance apart: each ends its own bracket of that width
+_FAR_DELAYS = (("mgo_gayer", 74.24729271497216, 1.4957104366645257,
+                14.771813282503922, 4097),
+               ("jundt_e_edwards_o", 105.46269952431517, 1.5172195157175372,
+                16.304513179807152, 8193))
+
+
+@pytest.mark.parametrize("case", [
+    *[("crossing", pairing, dt_c) for pairing in [None, *sorted(PAIRINGS)]
+      for dt_c in (-0.5, 0.5)],
+    *[("generated", *far) for far in _FAR_DELAYS]])
+def test_newton_delay_matches_the_illinois_refinement(default_spec, case):
+    if case[0] == "crossing":
+        _, pairing, dt_c = case
+        spec = default_spec if pairing is None else design_crystal(pairing)
+        spec = dataclasses.replace(
+            spec, temperature=crossing_temperature(spec) + dt_c)
+        n_points = 4097
+    else:
+        pairing, t0_c, signal_um, length_mm, n_points = case[1:]
+        spec = design_crystal(pairing, t0_c=t0_c, signal_um=signal_um,
+                              length_mm=length_mm)
+    sa = joint_spectrum(spec, n_points=n_points)
     state = reduce_to_bins(sa, spec)
     tau, vis, width = _illinois_delay(sa, spec)
-    assert abs(state.compensation_delay - tau) <= 1e-12 * width
+    # both searches return an end of a sign change of the slope no wider
+    # than xtol = 1e-12 (b - a), so around one sign change they agree
+    # within twice that
+    assert abs(state.compensation_delay - tau) <= 2e-12 * width
     assert state.V == pytest.approx(vis, rel=1e-14, abs=0.0)
 
 

@@ -239,6 +239,23 @@ def test_bracketed_root_newton_converges_quadratically():
     assert len(calls) <= 7
 
 
+def test_bracketed_root_newton_ends_on_a_closed_bracket():
+    # Newton from the convex side of e^x - 2 approaches the root from
+    # above without crossing it; the step lengthened to xtol/2 crosses it,
+    # so the point returned ends a sign change no wider than xtol
+    calls = []
+    g = _with_slope(calls, lambda x: math.exp(x) - 2.0, math.exp)
+    xtol = 1e-9
+    x, fx = _bracketed_root(g, 0.0, 3.0, -1.0, math.exp(3.0) - 2.0,
+                            xtol=xtol, dfb=math.exp(3.0))
+    assert fx == math.exp(x) - 2.0
+    assert fx == 0.0 or any(
+        abs(c - x) <= xtol and (math.exp(c) - 2.0) * fx < 0.0
+        for c in calls[:-1])
+    assert abs(x - math.log(2.0)) <= xtol
+    assert len(calls) <= 7
+
+
 def test_bracketed_root_takes_the_illinois_step_where_newton_cannot():
     # f' = 0 at the start (x^2 - 1 at 0), then a Newton step that leaves
     # the bracket (atan from 10 lands near -139): both are Illinois steps,
