@@ -15,8 +15,12 @@ The result goes to ``BENCH_<short base sha>.json`` in ``--out-dir``: every
 run's end-to-end metrics, each metric's median and quartiles per side, the
 pairs the working tree wins on each metric (ties count for neither side),
 and the ``env`` line of every run, with the ``PYTHONDONTWRITEBYTECODE``
-setting the runs inherit. A run that fails or reports incorrect outputs
-is recorded with its exit status and stops the script.
+setting the runs inherit. Each run's CPU share, the CPU time of its
+processes over its wall time, goes into its pair and onto the pair's
+printed line, and each side's lowest share into the summary: a run whose
+processes waited for a CPU that other work held reads a lower share. A
+run that fails or reports incorrect outputs is recorded with its exit
+status and stops the script.
 
 The export never holds a bytecode cache, so the script refuses to start
 while a ``__pycache__`` exists under the working tree's ``src/``: such a
@@ -28,11 +32,13 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,19 +59,27 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in ``tree``: its env line,
-    exit status and final JSON report."""
+    exit status, final JSON report and CPU share."""
+    cpu, wall = _children_cpu_s(), time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    cpu_share = ((_children_cpu_s() - cpu)
+                 / (time.perf_counter() - wall))
     lines = proc.stdout.splitlines()
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")),
                None)
     report = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
     return {"returncode": proc.returncode, "env": env, "report": report,
-            "stderr_tail": proc.stderr[-2000:]}
+            "cpu_share": cpu_share, "stderr_tail": proc.stderr[-2000:]}
 
 
 def quartiles(values) -> dict:
@@ -145,13 +159,18 @@ def main(argv=None) -> int:
                 pair[side] = {name: metrics[name]["value"]
                               for name in better}
                 pair[f"{side}_env"] = runs[side]["env"]
+                pair[f"{side}_cpu_share"] = runs[side]["cpu_share"]
             result["pairs"].append(pair)
             print(f"pair {k} seed {seed} first {order[0]}: "
                   + ", ".join(f"{n} {pair['base'][n]:.4g} -> "
                               f"{pair['work'][n]:.4g}"
-                              for n in ("tasks_per_s", "peak_rss_mb")),
-                  flush=True)
+                              for n in ("tasks_per_s", "peak_rss_mb"))
+                  + f", cpu share {pair['base_cpu_share']:.3f} -> "
+                    f"{pair['work_cpu_share']:.3f}", flush=True)
         result["summary"] = summarize(result["pairs"], better)
+        result["summary"]["lowest_cpu_share"] = {
+            side: min(p[f"{side}_cpu_share"] for p in result["pairs"])
+            for side in ("base", "work")}
         out_path.write_text(json.dumps(result, indent=1) + "\n")
         print(f"wrote {out_path}")
     finally:

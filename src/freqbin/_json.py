@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 
 class _JsonObject(dict):
@@ -25,6 +24,15 @@ class _JsonObject(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.where}: missing key '{key}'")
+
+    def refuse_unknown(self, keys, what: str) -> None:
+        """ValueError naming the file and every key outside ``keys``, the
+        keys that ``what`` holds, so that no key a loader does not read is
+        silently ignored."""
+        unknown = sorted(set(self) - set(keys))
+        if unknown:
+            raise ValueError(f"{self.where}: unknown key(s) {unknown}; "
+                             f"{what} holds {list(keys)}")
 
     def number(self, key, default=None):
         """The JSON number at ``key`` (``default`` when given and the key
@@ -64,10 +72,11 @@ class _JsonObject(dict):
 
 
 def _number(value, what: str):
-    """``value`` if it is a finite real number (a bool is not); otherwise
-    ValueError saying that ``what`` must be one."""
+    """``value`` if it is a finite real number (a bool is not, nor an int
+    too large for a float: the comparison is exact for any int, and false
+    for NaN); otherwise ValueError saying that ``what`` must be one."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not np.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
     return value
 

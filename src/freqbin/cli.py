@@ -170,12 +170,18 @@ def cmd_qpm_tune(args) -> int:
     if args.t_from_c is not None:
         if args.t_to_c is None:
             raise ValueError("--t-from-c requires --t-to-c")
+        if args.pump_to_nm is not None:
+            raise ValueError(f"--pump-to-nm {args.pump_to_nm:g} is read "
+                             "only with --pump-from-nm, which is not given")
         variable = "temperature"
         sweep = (args.t_from_c, args.t_to_c)
         to_csv = lambda v: v
     else:
         if args.pump_to_nm is None:
             raise ValueError("--pump-from-nm requires --pump-to-nm")
+        if args.t_to_c is not None:
+            raise ValueError(f"--t-to-c {args.t_to_c:g} is read only with "
+                             "--t-from-c, which is not given")
         variable = "pump_wavelength"
         sweep = (args.pump_from_nm * 1e-9, args.pump_to_nm * 1e-9)
         to_csv = lambda v: v * 1e9

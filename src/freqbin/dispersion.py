@@ -125,6 +125,11 @@ class SellmeierSet:
             raise WavelengthRangeError(
                 f"{self.name}: wavelength {wavelength_um:.6g} um outside "
                 f"valid range [{lo:g}, {hi:g}] um")
+        self.check_temperature(temperature_C)
+
+    def check_temperature(self, temperature_C: float) -> None:
+        """TemperatureRangeError unless ``temperature_C`` [deg C] lies in
+        the validity range; ``check_range`` and ``CrystalSpec`` share it."""
         tlo, thi = self.valid_temperature_C
         if not tlo <= temperature_C <= thi:
             raise TemperatureRangeError(
@@ -160,11 +165,6 @@ class OpticalField:
         return self.wavelength * 1e6
 
 
-# the top-level keys of a Sellmeier file
-_SELLMEIER_KEYS = ("name", "axis", "coefficients", "valid_wavelength_um",
-                   "valid_temperature_C", "source")
-
-
 def load_sellmeier(source) -> SellmeierSet:
     """Load a SellmeierSet from a JSON file path or a bundled name.
 
@@ -172,10 +172,8 @@ def load_sellmeier(source) -> SellmeierSet:
     ``"cln_e_edwards1984"``.
     """
     raw = _read_json("sellmeier", source)
-    unknown = sorted(set(raw) - set(_SELLMEIER_KEYS))
-    if unknown:
-        raise ValueError(f"{raw.where}: unknown key(s) {unknown}; a "
-                         f"Sellmeier file holds {list(_SELLMEIER_KEYS)}")
+    raw.refuse_unknown(("name", "axis", "coefficients", "valid_wavelength_um",
+                        "valid_temperature_C", "source"), "a Sellmeier file")
     coefficients = raw.object("coefficients")
     return SellmeierSet(
         name=raw["name"],

@@ -35,9 +35,10 @@ class NoPhaseMatchError(FreqbinError):
 
 
 class BranchAmbiguityError(FreqbinError):
-    """Multiple phase-matching roots found and no branch was selected.
+    """More than one phase-matching root on the selected branch, or in
+    the whole bracket when no branch was selected.
 
-    ``roots`` holds the approximate signal wavelengths (m) of every root.
+    ``roots`` holds the approximate signal wavelengths (m) of those roots.
     """
 
     def __init__(self, msg, roots=()):

@@ -52,11 +52,12 @@ C_M_PER_S = 2.99792458e8  # speed of light in m/s
 _SCAN_POINTS = 241        # signal grid that brackets each pair-solve root
 _PAIR_TOL = 1e-3          # largest |dk| in rad/m a solved pair may keep
 _CROSSING_TOL_C = 1e-9    # crossing search's final bracket in degC
-_SIGNAL_BRACKET = (1.2e-6, 1.9e-6)   # default signal search range [m]
+_SIGNAL_BRACKET = (1.2e-6, 1.9e-6)   # signal search range [m]
+_ROOT_MAXITER = 200       # _bracketed_root's step budget
 
 
 class Branch(str, enum.Enum):
-    """Which nondegenerate root to take when the bracket holds a mirror pair."""
+    """The side of the degeneracy 2*lam_p that a solved signal must lie on."""
 
     SIGNAL_SHORT = "signal_short"   # lam_s below the degeneracy 2*lam_p
     SIGNAL_LONG = "signal_long"
@@ -131,11 +132,7 @@ class CrystalSpec:
         object.__setattr__(self, "pump_polarization",
                            Polarization(self.pump_polarization))
         for sset in smap.values():
-            tlo, thi = sset.valid_temperature_C
-            if not tlo <= self.temperature <= thi:
-                raise TemperatureRangeError(
-                    f"crystal temperature {self.temperature:g} C outside "
-                    f"validity [{tlo:g}, {thi:g}] C of set {sset.name}")
+            sset.check_temperature(self.temperature)
 
     @property
     def total_length(self) -> float:
@@ -192,13 +189,21 @@ def load_crystal(source) -> CrystalSpec:
 
     Expected keys: segments [{period_um, length_mm, amplitude_scale}],
     temperature_C, pump_nm, axis_map {H: axis, V: axis}, sellmeier_files
-    {axis: path-or-bundled-name}, optional pump_polarization (default "V").
+    {axis: path-or-bundled-name}, optional pump_polarization (default "V"),
+    name and note. Any other key, at the top or in a segment, raises
+    ValueError naming the file and the key.
     """
     raw = _read_json("crystals", source)
+    raw.refuse_unknown(("name", "segments", "temperature_C", "pump_nm",
+                        "pump_polarization", "axis_map", "sellmeier_files",
+                        "note"), "a crystal file")
     if not (isinstance(raw["segments"], list)
             and all(isinstance(s, dict) for s in raw["segments"])):
         raise ValueError(f"{raw.where}: 'segments' must be a list of "
                          "JSON objects")
+    for s in raw["segments"]:
+        s.refuse_unknown(("period_um", "length_mm", "amplitude_scale"),
+                         "a segment")
     segments = tuple(
         PolingSegment(period=s.number("period_um") * 1e-6,
                       length=s.number("length_mm") * 1e-3,
@@ -284,15 +289,15 @@ def _row_mismatch(sets, t_c, lam_p_um, period_um=math.inf):
     return dk
 
 
-def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
+def _bracketed_root(f, a, b, fa, fb, xtol, dfb=None):
     """Root of ``f`` between ``a`` and ``b`` (``fa``, ``fb`` of opposite
     sign) by Illinois regula falsi, or by Newton steps given a derivative.
 
     The new point replaces the bracket end whose sign it shares; when the
     same end survives twice in a row, its stored value is halved so the
     next step lands on its side and both ends close in. Stops at an exact
-    zero or once the bracket is no wider than ``xtol``; returns the last
-    point and its value.
+    zero, once the bracket is no wider than ``xtol``, or after
+    ``_ROOT_MAXITER`` steps; returns the last point and its value.
 
     Given ``dfb``, f' at ``b``, ``f`` returns (f(x), f'(x)), and each step
     is Newton's from the last point while it lands strictly inside the
@@ -304,7 +309,7 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
     """
     derivative = dfb is not None
     x, fx = a, fa
-    for _ in range(maxiter):
+    for _ in range(_ROOT_MAXITER):
         newton = False
         if dfb:     # None without a derivative, and 0 leaves no step
             step = -fb / dfb
@@ -333,42 +338,35 @@ def _bracketed_root(f, a, b, fa, fb, xtol, maxiter=200, dfb=None):
 # ---------------------------------------------------------------------------
 # pair solves
 
-def _pick_root(roots, segment_index, period_um, dk_row, branch, lam_p_um,
-               lo_um, hi_um):
-    """The one root (lam_s_um, dk) of a scanned row that the branch
-    selects; the pair solve's errors otherwise."""
-    if not roots:
-        dk_per_m = dk_row * 1e6
-        raise NoPhaseMatchError(
-            f"no phase-matching root for segment {segment_index} "
-            f"(period {period_um:.4f} um) in signal bracket "
-            f"[{lo_um*1e3:.1f}, {hi_um*1e3:.1f}] nm; dk spans "
-            f"[{dk_per_m.min():.4g}, {dk_per_m.max():.4g}] rad/m",
-            dk_min=float(dk_per_m.min()), dk_max=float(dk_per_m.max()))
-    if len(roots) == 1:
-        return roots[0]
-    if branch is None:
+def _pick_root(roots, segment_index, period_um, dk_row, branch, lam_p_um):
+    """The one root (lam_s_um, dk) of a scanned row on ``branch``'s side
+    of the degeneracy 2*lam_p, or on either side without a branch; the
+    pair solve's errors otherwise."""
+    side = roots if branch is None else [
+        r for r in roots
+        if (r[0] < 2.0 * lam_p_um) == (branch is Branch.SIGNAL_SHORT)]
+    if len(side) == 1:
+        return side[0]
+    on = "" if branch is None else f" on branch {branch.value}"
+    if side:
         raise BranchAmbiguityError(
-            f"{len(roots)} phase-matching roots in bracket; pass "
-            "branch=Branch.SIGNAL_SHORT or Branch.SIGNAL_LONG",
-            roots=[r[0] * 1e-6 for r in roots])
-    lam_deg = 2.0 * lam_p_um
-    side = [r for r in roots
-            if (r[0] < lam_deg) == (Branch(branch) is Branch.SIGNAL_SHORT)]
-    if not side:
-        raise NoPhaseMatchError(
-            f"no root on branch {Branch(branch).value}; roots at "
-            f"{[f'{r[0]*1e3:.2f} nm' for r in roots]}")
-    if len(side) > 1:
-        raise BranchAmbiguityError(
-            "branch selection still ambiguous",
-            roots=[r[0] * 1e-6 for r in side])
-    return side[0]
+            f"{len(side)} phase-matching roots{on} in bracket" + (
+                "; pass branch=Branch.SIGNAL_SHORT or Branch.SIGNAL_LONG"
+                if branch is None else ""), roots=[r[0] * 1e-6 for r in side])
+    dk_per_m = dk_row * 1e6
+    raise NoPhaseMatchError(
+        f"no phase-matching root{on} for segment {segment_index} "
+        f"(period {period_um:.4f} um) in signal bracket "
+        f"[{_SIGNAL_BRACKET[0]*1e9:.1f}, {_SIGNAL_BRACKET[1]*1e9:.1f}] nm; "
+        f"dk spans [{dk_per_m.min():.4g}, {dk_per_m.max():.4g}] rad/m" + (
+            f"; the branch sets aside the root(s) at "
+            f"{[f'{r[0] * 1e3:.2f} nm' for r in roots]}" if roots else ""),
+        dk_min=float(dk_per_m.min()), dk_max=float(dk_per_m.max()))
 
 
 def _solve_rows(spec: CrystalSpec, segment_index: int, t_c, lam_p,
-                signal_pol=Polarization.H, branch: Branch | None = None,
-                bracket=_SIGNAL_BRACKET) -> list:
+                signal_pol=Polarization.H,
+                branch: Branch | None = None) -> list:
     """Pair solves of one segment's rows (temperature [degC], pump [m]),
     each one value shared by every row or a 1-D sequence of one per row:
     each row's PhaseMatchPoint, or the exception its own
@@ -383,16 +381,17 @@ def _solve_rows(spec: CrystalSpec, segment_index: int, t_c, lam_p,
         raise ValueError(f"segment index {segment_index} is out of range: the "
                          f"crystal has {n_seg} segment(s), 0..{n_seg - 1}")
     signal_pol = Polarization(signal_pol)
+    branch = None if branch is None else Branch(branch)
     sets = _pair_sets(spec, signal_pol)
     per_um = spec.segments[segment_index].period * 1e6
-    lo_um, hi_um = bracket[0] * 1e6, bracket[1] * 1e6
+    lo_um, hi_um = _SIGNAL_BRACKET[0] * 1e6, _SIGNAL_BRACKET[1] * 1e6
     rows = list(np.broadcast(t_c, lam_p))
     outcomes, scanned = [None] * len(rows), []
     for r, (t, lp) in enumerate(rows):
         try:
             if not lp > 0.0:
                 raise ValueError(f"pump wavelength must be > 0, not {lp:g} m")
-            if not lp * 1e6 < lo_um < hi_um:
+            if not lp * 1e6 < lo_um:
                 raise ValueError(
                     f"pump {lp * 1e9:g} nm and signal bracket [{lo_um * 1e3:g}"
                     f", {hi_um * 1e3:g}] nm must satisfy pump < lo < hi")
@@ -427,8 +426,7 @@ def _solve_rows(spec: CrystalSpec, segment_index: int, t_c, lam_p,
                   for i in np.nonzero(sign[k] == 0)[0]]
         try:
             lam_root, dk_root = _pick_root(roots, segment_index, per_um,
-                                           dk_row, branch, lp_um, lo_um,
-                                           hi_um)
+                                           dk_row, branch, lp_um)
             residual = dk_root * 1e6  # rad/um -> rad/m
             if abs(residual) > _PAIR_TOL:
                 raise NoPhaseMatchError(
@@ -458,21 +456,20 @@ def _solved(outcomes) -> list:
 
 def solve_signal_idler(spec: CrystalSpec, segment_index: int,
                        signal_pol=Polarization.H,
-                       branch: Branch | None = None,
-                       bracket=_SIGNAL_BRACKET) -> PhaseMatchPoint:
+                       branch: Branch | None = None) -> PhaseMatchPoint:
     """Solve dk = 0 for the given segment's period.
 
     The signal bracket is scanned on ``_SCAN_POINTS`` wavelengths for sign
     changes of the mismatch; each is refined by ``_bracketed_root`` to a few
-    ulps of the wavelength, and the root must then satisfy |dk| <=
-    ``_PAIR_TOL`` rad/m. With two roots in the bracket, ``branch`` must
-    pick a side of the degeneracy (2*lam_p); with none, NoPhaseMatchError
-    reports the scanned mismatch extremes. This is the one-row case of
-    the batched solver behind ``tuning_curve``.
+    ulps of the wavelength. A given ``branch`` sets aside the roots on the
+    other side of the degeneracy (2*lam_p); one root must be left, with
+    |dk| <= ``_PAIR_TOL`` rad/m. With none, NoPhaseMatchError reports the
+    scanned mismatch extremes and any root set aside; with more,
+    BranchAmbiguityError lists them. This is the one-row case of the
+    batched solver behind ``tuning_curve``.
     """
     return _solved(_solve_rows(spec, segment_index, spec.temperature,
-                               spec.pump_wavelength, signal_pol, branch,
-                               bracket))[0]
+                               spec.pump_wavelength, signal_pol, branch))[0]
 
 
 def solve_period(spec: CrystalSpec, target: PhaseMatchPoint) -> float:
@@ -508,7 +505,8 @@ def tuning_curve(spec: CrystalSpec, segment_index: int,
     All points are solved in one batched scan, each exactly as
     ``solve_signal_idler`` would solve it alone. Points that fail to
     phase-match (or leave a coefficient set's validity range) are recorded
-    as gaps, not raised. The list is ordered exactly as the sweep values;
+    as gaps, not raised; so is a point whose only root lies on the other
+    side of ``branch``. The list is ordered exactly as the sweep values;
     reversing the sweep reverses the list.
     """
     if variable not in ("temperature", "pump_wavelength"):

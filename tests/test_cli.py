@@ -123,6 +123,25 @@ def test_qpm_tune_requires_exactly_one_sweep(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_branch_without_a_root_on_it(tmp_path, capsys):
+    # segment 0's one root lies on the short branch: the long branch used
+    # to return it; now a solve fails and a tuning curve holds only gaps
+    rc = main(["qpm", "solve", "--segment", "0", "--branch", "signal_long",
+               "--error-json", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoPhaseMatchError"
+    assert "on branch signal_long" in err["message"]
+    assert not list(tmp_path.iterdir())
+    rc = main(["qpm", "tune", "--segment", "0", "--branch", "signal_long",
+               "--t-from-c", "110", "--t-to-c", "130", "--steps", "3",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "0/3 points phase-matched" in capsys.readouterr().out
+    _, _, rows = read_meta_and_rows(tmp_path / "qpm_tune.csv")
+    assert [r[1:] for r in rows] == [["nan"] * 3] * 3
+
+
 def test_qpm_tune_pump_sweep(tmp_path):
     rc = main(["qpm", "tune", "--pump-from-nm", "770", "--pump-to-nm", "780",
                "--steps", "3", "--out-dir", str(tmp_path)])
@@ -615,6 +634,13 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     # delay of 1e300 fs wrote rows whose phase had no digits left
     (["tomo", "table1", "--taus-fs=-20,nan"], "--taus-fs entry 2: "),
     (["tomo", "table1", "--taus-fs=1e300"], "--taus-fs entry 1: "),
+    # the other sweep's end was dropped without a word
+    (["qpm", "tune", "--pump-from-nm", "770", "--pump-to-nm", "780",
+      "--t-to-c", "130", "--steps", "3"],
+     "--t-to-c 130 is read only with --t-from-c"),
+    (["qpm", "tune", "--t-from-c", "110", "--t-to-c", "130",
+      "--pump-to-nm", "780", "--steps", "3"],
+     "--pump-to-nm 780 is read only with --pump-from-nm"),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):
@@ -865,6 +891,15 @@ def broken_input(tmp_path, case):
                 "valid_temperature_C")
     if case == "swapped":   # each set filed under the other's axis
         return solve(swap=True), None, "cln_o_edwards1984"
+    if case in ("crystal_key", "segment_key"):   # a misspelt optional key
+        crystal = bundled("crystals", "default")
+        owner, key, typo = (
+            (crystal, "pump_polarization", "pump_polarisation")
+            if case == "crystal_key" else
+            (crystal["segments"][1], "amplitude_scale", "amplitude_scal"))
+        owner[typo] = owner.pop(key)
+        path = write("crystal.json", crystal)
+        return ["qpm", "solve", "--crystal", str(path)], path, typo
     if case == "coefficient":   # its error names the set, not the file
         coefficients = sellmeier["coefficients"]
         coefficients["A2"] = coefficients.pop("a2")
@@ -884,12 +919,15 @@ def broken_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["sellmeier", "crystal", "projectors",
-                                  "rho", "coefficient", "ket", "swapped"])
+                                  "rho", "coefficient", "ket", "swapped",
+                                  "crystal_key", "segment_key"])
 def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
                                                            capsys, case):
     # a missing key used to escape as a bare KeyError ("error: 'pump_nm'"),
-    # a misspelled coefficient name was dropped without a word, and swapped
-    # Sellmeier files failed later (exit 1) without naming the swap
+    # a misspelled coefficient name or crystal key was dropped without a
+    # word (the crystal_key and segment_key runs used the defaults V and
+    # 1.0), and swapped Sellmeier files failed later (exit 1) without
+    # naming the swap
     argv, path, key = broken_input(tmp_path, case)
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -957,6 +995,9 @@ def wrong_type_input(tmp_path, case):
     if case in ("segments", "crystal_sellmeier_files", "crystal_axis_map"):
         key, command = case.removeprefix("crystal_"), "solve"
         crystal[key] = [1]
+    elif case == "temperature_huge":    # an int too large for a float
+        key, command = "temperature_C", "crossing"
+        crystal[key] = 10 ** 400
     else:
         crystal["pump_nm"] = "x"
         key, command = "pump_nm", case.rsplit("_", 1)[1]
@@ -976,7 +1017,7 @@ def wrong_type_input(tmp_path, case):
                                   "projector_label", "projector_ket",
                                   "projector_ket_size",
                                   "projector_ket_zero", "rho_basis",
-                                  "rho_im"])
+                                  "rho_im", "temperature_huge"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
     # a value of the wrong JSON type, or a NaN, is a usage error, like a
@@ -987,8 +1028,9 @@ def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
     # NaNs were read as numbers, projector_settings, projector_setting and
     # projector_ket said only "not enough values to unpack", projector_label
     # and rho_basis escaped as a TypeError, projector_ket_size and
-    # projector_ket_zero named neither the file nor the key, and rho_im's
-    # scalar broadcast into a matrix reported as "not Hermitian" (exit 1)
+    # projector_ket_zero named neither the file nor the key, rho_im's
+    # scalar broadcast into a matrix reported as "not Hermitian" (exit 1),
+    # and temperature_huge escaped as a TypeError from the finiteness check
     argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])

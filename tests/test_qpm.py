@@ -90,6 +90,25 @@ def test_quad_toy_branch_selection_and_conjugacy(quad_crystal):
                                                   rel=1e-12)
 
 
+def test_branch_filters_a_single_root(default_spec):
+    # each bundled segment has one root: segment 0's signal lies below the
+    # degeneracy, segment 1's above it. The other branch used to take that
+    # root anyway, since a branch was applied only to two or more roots
+    for j, (own, other) in enumerate([tuple(Branch), tuple(Branch)[::-1]]):
+        pt = solve_signal_idler(default_spec, j)
+        lam_nm = pt.signal_wavelength * 1e9
+        assert solve_signal_idler(default_spec, j, branch=own) == pt
+        with pytest.raises(NoPhaseMatchError) as exc:
+            solve_signal_idler(default_spec, j, branch=other)
+        assert f"on branch {other.value}" in str(exc.value)
+        assert f"'{lam_nm:.2f} nm'" in str(exc.value)
+        assert exc.value.dk_min < 0.0 < exc.value.dk_max
+        curve = tuning_curve(default_spec, j, steps=3, branch=other)
+        assert [tp.point for tp in curve] == [None] * 3
+    with pytest.raises(ValueError, match="'sideways' is not a valid Branch"):
+        solve_signal_idler(default_spec, 0, branch="sideways")
+
+
 # --- residuals / conservation / errors -------------------------------------
 
 def test_residual_below_tolerance(default_spec):
@@ -173,13 +192,6 @@ def test_solve_period_impossible_sign(const_crystal):
         solve_period(spec, target)
 
 
-def test_bad_bracket_rejected(const_crystal):
-    with pytest.raises(ValueError):
-        solve_signal_idler(const_crystal, 0, bracket=(0.5e-6, 1.9e-6))
-    with pytest.raises(ValueError):
-        solve_signal_idler(const_crystal, 0, bracket=(1.9e-6, 1.2e-6))
-
-
 @pytest.mark.parametrize("e_range, o_range, bad", [
     ((1.3, 6.0), (0.2, 6.0), "1.2 um"),      # signal at the bracket's low end
     ((0.2, 6.0), (0.2, 2.0), "2.18"),        # idler of the low-end signal
@@ -197,7 +209,7 @@ def test_span_outside_validity_is_refused(e_range, o_range, bad):
                                   "ordinary": const_set(
                                       "o", Axis.ORDINARY, 2.3, o_range)})
     with pytest.raises(WavelengthRangeError, match=bad):
-        solve_signal_idler(spec, 0, bracket=(1.2e-6, 1.9e-6))
+        solve_signal_idler(spec, 0)
     omega = 2.0 * np.pi * C / np.linspace(1.2e-6, 1.9e-6, 101)
     with pytest.raises(WavelengthRangeError, match=bad):
         segment_amplitude(spec, 0, omega)
@@ -654,8 +666,14 @@ def test_crystal_spec_validation(const_crystal):
         CrystalSpec(segments=seg, temperature=25.0, pump_wavelength=775e-9,
                     axis_map={"H": "extraordinary", "V": "ordinary"},
                     sellmeier={"extraordinary": e})
-    with pytest.raises(TemperatureRangeError):
+    # the set's check_range text, which the pair solver's range checks give
+    sset = const_crystal.sellmeier_for("H")
+    with pytest.raises(TemperatureRangeError) as oracle:
+        sset.check_range(1.5, 1000.0)
+    with pytest.raises(TemperatureRangeError) as exc:
         dataclasses.replace(const_crystal, temperature=1000.0)
+    assert str(exc.value) == str(oracle.value)
+    assert str(exc.value).startswith("const_e: temperature 1000 C outside")
     # a set filed under the axis it does not describe
     with pytest.raises(ValueError, match="'o' describes the ordinary axis "
                        "but is filed under 'extraordinary'"):

@@ -71,6 +71,13 @@ def test_tomo_convert_without_a_matrix_loads_no_numpy(tmp_path):
                             "--tau-fs", "47", "--out-dir", str(tmp_path))
     assert code == 0
     assert "numpy" not in names
+    # nor with its options read from a config file
+    config = tmp_path / "convert.json"
+    config.write_text(json.dumps({"tau_fs": 47}))
+    code, names = _loaded(_CLI, "tomo", "convert", "--config", str(config),
+                          "--out-dir", str(tmp_path))
+    assert code == 0
+    assert "numpy" not in names
 
 
 def test_hom_and_tomo_steps_load_no_phase_matching(tmp_path):
