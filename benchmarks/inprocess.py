@@ -2,12 +2,12 @@
 """In-process A/B by CPU time: a base commit against the working tree.
 
     python3 benchmarks/inprocess.py --workload design \\
-        [--base HEAD] [--seed 4242] [--tasks 200] [--rounds 3] \\
-        [--json PATH]
+        [--base HEAD] [--seed 4242] [--tasks 200] [--rounds 3]
 
-Both trees' ``src/freqbin`` are imported into one interpreter, the base
-from a clean export of its commit (``git archive``, as ``paired.py``
-does), each under its own package name. Each side builds the workload of
+Both trees' ``src/freqbin`` are imported into one interpreter, each from
+a copy made as ``paired.py`` makes it (the base by ``git archive`` of its
+commit, the working tree by ``snapshot``), under its own package name
+and with every one of its modules. Each side builds the workload of
 ``perfbench/tasks.py`` on ``--seed`` and takes the same first ``--tasks``
 cases of ``perfbench/workloads.py``. In every round the two sides run
 those cases in alternating blocks of the workload's block size, the side
@@ -15,11 +15,12 @@ that runs first alternating from block to block, and each task is timed
 with ``time.process_time``. Case inputs are built before the timing.
 
 The report gives each side's per-task CPU time (median, quartiles and
-mean over every timed run), the blocks the working tree ran in less CPU
-time, the share of tasks whose outputs passed ``tasks.py``'s check, a
-SHA-256 of each side's outputs (floats by their hex form, so equal hashes
-mean bit-identical outputs), and for outputs that differ the largest
-relative difference of each numeric field. Start-up and peak memory stay
+mean over every timed run), the share of tasks whose outputs passed
+``tasks.py``'s check, a SHA-256 of each side's outputs (floats by their
+hex form, so equal hashes mean bit-identical outputs), the working tree's
+change in median CPU time overall and in each round, the blocks it ran
+in less CPU time, and for outputs that differ the largest relative
+difference of each numeric field. Start-up and peak memory stay
 subprocess metrics: see ``paired.py``.
 """
 from __future__ import annotations
@@ -29,8 +30,8 @@ import contextlib
 import hashlib
 import importlib
 import importlib.util
-import json
 import math
+import pkgutil
 import shutil
 import sys
 import tempfile
@@ -39,23 +40,22 @@ from pathlib import Path
 
 import numpy as np
 
-from paired import ROOT, export, git, quartiles
+from paired import ROOT, export, git, quartiles, snapshot
 
 PERFBENCH = ROOT / "perfbench"
-LAYERS = ("errors", "dispersion", "qpm", "biphoton", "hom", "entanglement")
 WORKLOADS = {"design": "Design", "analysis": "Analysis"}
 
 
 def load_package(src: Path, name: str):
     """The package in directory ``src``, imported as ``name`` with all of
-    its layers; its relative imports resolve inside ``src``."""
+    its modules; its relative imports resolve inside ``src``."""
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for layer in LAYERS:
-        importlib.import_module(f"{name}.{layer}")
+    for module in pkgutil.iter_modules([str(src)]):
+        importlib.import_module(f"{name}.{module.name}")
     return package
 
 
@@ -158,9 +158,10 @@ def timed_rounds(sides: dict, rounds: int) -> tuple:
     return blocks, wins
 
 
-def side_report(s: dict) -> dict:
+def side_line(side: str, s: dict) -> str:
     """One side's CPU-time statistics, check pass share and output hash."""
     times = np.array(s["times"])
+    q = quartiles(times)
     digest = hashlib.sha256()
     for out in s["outputs"]:
         for path, leaf in leaves(out):
@@ -168,10 +169,15 @@ def side_report(s: dict) -> dict:
     with as_freqbin(s["name"]):
         failed = sum(s["workload"].check(case, out) is not None
                      for case, out in zip(s["cases"], s["outputs"]))
-    return {"task_cpu_s": quartiles(times),
-            "task_cpu_mean_s": float(times.mean()),
-            "ok_frac": 1.0 - failed / len(s["cases"]),
-            "output_sha256": digest.hexdigest()}
+    return (f"{side}: task CPU median {q['median'] * 1e3:.3f} ms (IQR "
+            f"{q['iqr'] * 1e3:.3f}), mean {times.mean() * 1e3:.3f} ms, "
+            f"ok_frac {1.0 - failed / len(s['cases']):.4g}, outputs "
+            f"{digest.hexdigest()[:16]}")
+
+
+def change(base, work) -> str:
+    """The working tree's change in median CPU time, in per cent."""
+    return f"{100.0 * (np.median(work) / np.median(base) - 1.0):+.1f}%"
 
 
 def main(argv=None) -> int:
@@ -181,7 +187,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=4242)
     ap.add_argument("--tasks", type=int, default=200)
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--json", type=Path, help="also write the report here")
     args = ap.parse_args(argv)
     if args.tasks < 1 or args.rounds < 1:
         ap.error("--tasks and --rounds must be at least 1")
@@ -190,46 +195,34 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="freqbin-inprocess-"))
     try:
         export(git("rev-parse", args.base), scratch / "base")
+        snapshot(scratch / "work")
         sides = {}
-        for side, tree in (("base", scratch / "base"), ("work", ROOT)):
+        for side in ("base", "work"):
             name = f"freqbin_{side}"
-            load_package(tree / "src" / "freqbin", name)
+            load_package(scratch / side / "src" / "freqbin", name)
             workload = load_workload(name, args.workload, args.seed)
             sides[side] = {"name": name, "workload": workload,
                            "cases": [next(workload.cases)
                                      for _ in range(args.tasks)],
                            "times": [], "outputs": []}
         blocks, wins = timed_rounds(sides, args.rounds)
-        report = {"workload": args.workload, "seed": args.seed,
-                  "tasks": args.tasks, "rounds": args.rounds,
-                  "base": git("rev-parse", args.base),
-                  "work": f"working tree on {git('rev-parse', 'HEAD')}",
-                  "blocks": blocks, "work_faster_blocks": wins,
-                  **{side: side_report(s) for side, s in sides.items()}}
-        worst = {}
-        report["identical_outputs"] = sum(
-            compare(b, w, worst) for b, w in zip(sides["base"]["outputs"],
-                                                 sides["work"]["outputs"]))
-        report["max_rel_diff"] = worst
+        for side, s in sides.items():
+            print(side_line(side, s))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    for side in ("base", "work"):
-        q = report[side]["task_cpu_s"]
-        print(f"{side}: task CPU median {q['median'] * 1e3:.3f} ms "
-              f"(IQR {q['iqr'] * 1e3:.3f}), mean "
-              f"{report[side]['task_cpu_mean_s'] * 1e3:.3f} ms, ok_frac "
-              f"{report[side]['ok_frac']:.4g}, outputs "
-              f"{report[side]['output_sha256'][:16]}")
-    base, work = (report[s]["task_cpu_s"]["median"] for s in ("base", "work"))
-    print(f"median change {100.0 * (work / base - 1.0):+.1f}%; work faster "
-          f"in {wins} of {blocks} blocks; {report['identical_outputs']} of "
-          f"{args.tasks} outputs bit-identical")
+    # each side's times hold its rounds one after another
+    base, work = (np.reshape(sides[s]["times"], (args.rounds, args.tasks))
+                  for s in ("base", "work"))
+    worst = {}
+    identical = sum(compare(b, w, worst) for b, w in
+                    zip(sides["base"]["outputs"], sides["work"]["outputs"]))
+    print(f"median change {change(base, work)} (by round "
+          f"{', '.join(map(change, base, work))}); work faster in {wins} "
+          f"of {blocks} blocks; {identical} of {args.tasks} outputs "
+          "bit-identical")
     for path, rel in sorted(worst.items()):
         print(f"  {path}: largest relative difference {rel:.3g}")
-    if args.json:
-        args.json.write_text(json.dumps(report, indent=1) + "\n")
-        print(f"wrote {args.json}")
     return 0
 
 

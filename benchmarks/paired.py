@@ -5,26 +5,21 @@
         [--base HEAD] [--seed 4242] [--out-dir .]
 
 Each pair runs ``perfbench/run.py`` once on a clean export of the base
-commit's files (``git archive``, in a temporary directory) and once on the
-working tree, with the same seed; the side that runs first alternates from
+commit's files (``git archive``) and once on a copy of the working tree
+taken when the script starts (``snapshot``), both in a temporary
+directory, with the same seed; the side that runs first alternates from
 pair to pair, and pair k uses seed ``--seed`` + k. Every run lasts
-BENCHMARK.json's ``run_seconds``. The export, not a ``git worktree``,
-keeps the repository's metadata untouched when a run is interrupted.
+BENCHMARK.json's ``run_seconds``. Neither copy holds a bytecode cache
+when the runs begin, an edit made to the working tree during the runs
+reaches none of them, and the repository's metadata stays untouched
+when a run is interrupted.
 
 The result goes to ``BENCH_<short base sha>.json`` in ``--out-dir``: every
 run's end-to-end metrics, each metric's median and quartiles per side, the
 pairs the working tree wins on each metric (ties count for neither side),
 and the ``env`` line of every run, with the ``PYTHONDONTWRITEBYTECODE``
-setting the runs inherit. Each run's CPU share, the CPU time of its
-processes over its wall time, goes into its pair and onto the pair's
-printed line, and each side's lowest share into the summary: a run whose
-processes waited for a CPU that other work held reads a lower share. A
-run that fails or reports incorrect outputs is recorded with its exit
-status and stops the script.
-
-The export never holds a bytecode cache, so the script refuses to start
-while a ``__pycache__`` exists under the working tree's ``src/``: such a
-cache would speed up only the working tree's imports.
+setting the runs inherit. A run that fails or reports incorrect outputs
+is recorded with its exit status and stops the script.
 """
 from __future__ import annotations
 
@@ -32,13 +27,11 @@ import argparse
 import io
 import json
 import os
-import resource
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -59,27 +52,31 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _children_cpu_s() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+def snapshot(dest: Path) -> None:
+    """The working tree's files under ``dest``: every file git tracks or
+    would track (untracked and not ignored), as it is on disk now, except
+    tracked files deleted from the tree."""
+    for name in git("ls-files", "-z", "--cached", "--others",
+                    "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run in ``tree``: its env line,
-    exit status, final JSON report and CPU share."""
-    cpu, wall = _children_cpu_s(), time.perf_counter()
+    exit status and final JSON report."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    cpu_share = ((_children_cpu_s() - cpu)
-                 / (time.perf_counter() - wall))
     lines = proc.stdout.splitlines()
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")),
                None)
     report = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
     return {"returncode": proc.returncode, "env": env, "report": report,
-            "cpu_share": cpu_share, "stderr_tail": proc.stderr[-2000:]}
+            "stderr_tail": proc.stderr[-2000:]}
 
 
 def quartiles(values) -> dict:
@@ -116,12 +113,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    caches = sorted((ROOT / "src").rglob("__pycache__"))
-    if caches:
-        print(f"{caches[0]} exists: a bytecode cache speeds up only the "
-              "working tree's runs; remove it first", file=sys.stderr)
-        return 2
-
     base_sha = git("rev-parse", args.base)
     short = git("rev-parse", "--short", args.base)
     result = {"workload": args.workload, "seconds": spec["run_seconds"],
@@ -135,15 +126,15 @@ def main(argv=None) -> int:
     out_path = args.out_dir / f"BENCH_{short}.json"
     scratch = Path(tempfile.mkdtemp(prefix="freqbin-paired-"))
     try:
-        base_tree = scratch / "base"
-        export(base_sha, base_tree)
+        trees = {"base": scratch / "base", "work": scratch / "work"}
+        export(base_sha, trees["base"])
+        snapshot(trees["work"])
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("base", "work") if k % 2 == 0 else ("work", "base")
             runs = {}
             for side in order:
-                tree = base_tree if side == "base" else ROOT
-                runs[side] = run_once(tree, args.workload, seed,
+                runs[side] = run_once(trees[side], args.workload, seed,
                                       spec["run_seconds"])
                 rep = runs[side]["report"]
                 if runs[side]["returncode"] != 0 or not rep.get("correct"):
@@ -159,18 +150,13 @@ def main(argv=None) -> int:
                 pair[side] = {name: metrics[name]["value"]
                               for name in better}
                 pair[f"{side}_env"] = runs[side]["env"]
-                pair[f"{side}_cpu_share"] = runs[side]["cpu_share"]
             result["pairs"].append(pair)
             print(f"pair {k} seed {seed} first {order[0]}: "
                   + ", ".join(f"{n} {pair['base'][n]:.4g} -> "
                               f"{pair['work'][n]:.4g}"
-                              for n in ("tasks_per_s", "peak_rss_mb"))
-                  + f", cpu share {pair['base_cpu_share']:.3f} -> "
-                    f"{pair['work_cpu_share']:.3f}", flush=True)
+                              for n in ("tasks_per_s", "peak_rss_mb")),
+                  flush=True)
         result["summary"] = summarize(result["pairs"], better)
-        result["summary"]["lowest_cpu_share"] = {
-            side: min(p[f"{side}_cpu_share"] for p in result["pairs"])
-            for side in ("base", "work")}
         out_path.write_text(json.dumps(result, indent=1) + "\n")
         print(f"wrote {out_path}")
     finally:

@@ -72,13 +72,27 @@ class _JsonObject(dict):
 
 
 def _number(value, what: str):
-    """``value`` if it is a finite real number (a bool is not, nor an int
-    too large for a float: the comparison is exact for any int, and false
-    for NaN); otherwise ValueError saying that ``what`` must be one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    """``value`` if it is a finite real number (a bool is not a number, and
+    an int too large for a float is not finite: the comparison is exact
+    for any int, and false for NaN); otherwise ValueError saying that
+    ``what`` must be one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be finite, not {value!r}")
     return value
+
+
+def _loads(text: str, where):
+    """The JSON value of ``text``, objects as _JsonObject naming ``where``;
+    ValueError naming ``where`` when ``text`` is no JSON that Python can
+    read (a syntax error, an integer of too many digits, nesting deeper
+    than the recursion limit)."""
+    try:
+        return json.loads(text,
+                          object_pairs_hook=lambda p: _JsonObject(p, where))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: not readable as JSON: {exc}") from None
 
 
 def _json_file(path, what: str = "file") -> dict:
@@ -88,8 +102,7 @@ def _json_file(path, what: str = "file") -> dict:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such {what}: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"),
-                         object_pairs_hook=lambda p: _JsonObject(p, path))
+    payload = _loads(path.read_text(encoding="utf-8"), path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, not "
                          f"{type(payload).__name__}")

@@ -67,9 +67,10 @@ def _write(args, name: str, payload=None, header=None, rows=(), seed=None):
     print(f"wrote {out / name}")
 
 
-def _read_columns(path, names, what: str) -> list:
-    """Cells of the columns ``names`` of a metadata-prefixed CSV, as one
-    list of strings per column; ``what`` names the file in errors."""
+def _read_columns(path, names, what: str, numeric=()) -> list:
+    """Cells of the columns ``names`` of a metadata-prefixed CSV, one list
+    per column: floats in the columns named in ``numeric``, strings in the
+    others; ``what`` names the file in errors."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
@@ -86,7 +87,18 @@ def _read_columns(path, names, what: str) -> list:
         if len(r) < len(header):
             raise ValueError(f"{path}: data row {k} has {len(r)} cells, "
                              f"the header {len(header)}")
-    return [[r[header.index(name)] for r in rows] for name in names]
+
+    def cell(k, name, text):
+        if name not in numeric:
+            return text
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{path}: data row {k}, column '{name}': "
+                             f"{text!r} is not a number") from None
+
+    return [[cell(k, name, r[header.index(name)])
+             for k, r in enumerate(rows, 1)] for name in names]
 
 
 def _load_spec(args):
@@ -114,6 +126,10 @@ def _point(spec, j: int, pt) -> dict:
 def cmd_qpm_solve(args) -> int:
     from .qpm import solve_signal_idler
     spec = _load_spec(args)
+    if args.branch and args.segment is None and len(spec.segments) > 1:
+        raise ValueError(f"--branch needs --segment: the crystal has "
+                         f"{len(spec.segments)} segments, whose signals may "
+                         "lie on either side of degeneracy")
     segments = ([int(args.segment)] if args.segment is not None
                 else list(range(len(spec.segments))))
     points = {}
@@ -299,12 +315,14 @@ def cmd_hom_synth(args) -> int:
 
 def cmd_hom_fit(args) -> int:
     import numpy as np
+    from ._json import _loads
     from .hom import HomScan, fit_homi
-    taus, counts = (np.array([float(c) for c in col]) for col in
-                    _read_columns(args.scan, ("tau_fs", "counts"),
-                                  "scan file"))
+    names = ("tau_fs", "counts")
+    taus, counts = map(np.array, _read_columns(args.scan, names,
+                                               "scan file", names))
     scan = HomScan(delays=taus * 1e-15, counts=counts)
-    fit = fit_homi(scan, init=json.loads(args.init) if args.init else None)
+    fit = fit_homi(scan, init=_loads(args.init, "--init") if args.init
+                   else None)
     se = fit.stderr
     print(f"V = {fit.V:.6f} +- {se['V']:.6f}, "
           f"dw/2pi = {fit.delta_omega/(math.tau*1e12):.6f} THz, "
@@ -365,7 +383,7 @@ def cmd_tomo_reconstruct(args) -> int:
                                mle_tomography)
     from .errors import TomographyDataError
     proj_a, proj_b, counts = _read_columns(
-        args.data, ("proj_a", "proj_b", "counts"), "dataset")
+        args.data, ("proj_a", "proj_b", "counts"), "dataset", ("counts",))
     settings = load_projectors(args.projectors)
     by_pair = {(s.proj_a, s.proj_b): s for s in settings}
     chosen = []
@@ -375,7 +393,7 @@ def cmd_tomo_reconstruct(args) -> int:
                 f"projection pair {key} not in set '{args.projectors}'")
         chosen.append(by_pair[key])
     data = TomographyDataset(settings=tuple(chosen),
-                             counts=np.array([float(c) for c in counts]))
+                             counts=np.array(counts))
     result = mle_tomography(data, full_output=True)
     print(f"reconstructed in {result.n_iter} iterations, "
           f"log-likelihood {result.log_likelihood:.6f}, "

@@ -445,8 +445,14 @@ def test_short_csv_row_is_usage_error(tmp_path, capsys):
      "no data rows"),
     (["tomo", "reconstruct"], "--data",
      "setting_id,proj_a,counts\n0,h,5\n",
-     "dataset lacks required column 'proj_b'")],
-    ids=["scan_empty", "scan_column", "counts_empty", "counts_column"])
+     "dataset lacks required column 'proj_b'"),
+    (["hom", "fit"], "--scan", "tau_fs,counts\n1,2\n2,abc\n",
+     "in.csv: data row 2, column 'counts': 'abc' is not a number"),
+    (["tomo", "reconstruct"], "--data",
+     "setting_id,proj_a,proj_b,counts\n0,h,h,5\n1,h,v,x\n",
+     "in.csv: data row 2, column 'counts': 'x' is not a number")],
+    ids=["scan_empty", "scan_column", "counts_empty", "counts_column",
+         "scan_cell", "counts_cell"])
 def test_csv_without_rows_or_column_is_usage_error(tmp_path, capsys,
                                                    command, flag, text,
                                                    needle):
@@ -641,6 +647,9 @@ def test_nonfinite_input_is_usage_error_and_writes_nothing(tmp_path, capsys,
     (["qpm", "tune", "--t-from-c", "110", "--t-to-c", "130",
       "--pump-to-nm", "780", "--steps", "3"],
      "--pump-to-nm 780 is read only with --pump-from-nm"),
+    # one branch for both segments exited 1 on one of them: the bundled
+    # crystal's two signals lie on either side of degeneracy
+    (["qpm", "solve", "--branch", "signal_long"], "--branch needs --segment"),
 ])
 def test_bad_option_value_is_usage_error_naming_it(tmp_path, capsys, argv,
                                                    needle):
@@ -940,9 +949,13 @@ def test_malformed_input_file_is_usage_error_naming_the_key(tmp_path,
 
 def wrong_type_input(tmp_path, case):
     """(argv, names): a run whose input holds a value of the wrong JSON
-    type, and the names (file, key) that its error message must hold."""
+    type, or is no JSON that can be read, and the names (file, key) that
+    its error message must hold."""
     if case.startswith("init"):
         main(["hom", "synth", "--out-dir", str(tmp_path)])
+        if case == "init_syntax":
+            return (["hom", "fit", "--scan", str(tmp_path / "hom_synth.csv"),
+                     "--init", "{bad"], ["--init"])
         init, key = {"init": ('"N"', None), "init_value": ('{"N": [1]}', "N"),
                      "init_str": ('{"N": "1e3"}', "N"),
                      "init_bool": ('{"V": true}', "V"),
@@ -973,7 +986,10 @@ def wrong_type_input(tmp_path, case):
         key, payload = {"rho": (None, [1, 2]),
                         "rho_value": ("rho", {"rho": [1, 2]}),
                         "rho_basis": ("basis", {"rho": {**rho, "basis": 5}}),
-                        "rho_im": ("im", {"rho": {**rho, "im": 3}})}[case]
+                        "rho_im": ("im", {"rho": {**rho, "im": 3}}),
+                        "rho_huge": ("re", {"rho": {**rho, "re": [
+                            [10 ** 400, *rho["re"][0][1:]],
+                            *rho["re"][1:]]}})}[case]
         path.write_text(json.dumps(payload))
         return (["tomo", "metrics", "--rho", str(path)],
                 [str(path)] + ([f"'{key}'"] if key else []))
@@ -992,6 +1008,11 @@ def wrong_type_input(tmp_path, case):
         crystal_path.write_text(json.dumps(crystal))
         return (["qpm", "solve", "--crystal", str(crystal_path)],
                 [str(path), f"'{key}'"])
+    if case in ("crystal_syntax", "crystal_digits", "crystal_nesting"):
+        path.write_text({"crystal_syntax": '{"a": [',
+                         "crystal_digits": '{"pump_nm": 1' + "0" * 5000 + "}",
+                         "crystal_nesting": "[" * 100_000}[case])
+        return ["qpm", "solve", "--crystal", str(path)], [str(path)]
     if case in ("segments", "crystal_sellmeier_files", "crystal_axis_map"):
         key, command = case.removeprefix("crystal_"), "solve"
         crystal[key] = [1]
@@ -1017,7 +1038,9 @@ def wrong_type_input(tmp_path, case):
                                   "projector_label", "projector_ket",
                                   "projector_ket_size",
                                   "projector_ket_zero", "rho_basis",
-                                  "rho_im", "temperature_huge"])
+                                  "rho_im", "temperature_huge", "rho_huge",
+                                  "crystal_syntax", "crystal_digits",
+                                  "crystal_nesting", "init_syntax"])
 def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
                                                          case):
     # a value of the wrong JSON type, or a NaN, is a usage error, like a
@@ -1030,7 +1053,10 @@ def test_wrong_type_json_is_usage_error_naming_the_input(tmp_path, capsys,
     # and rho_basis escaped as a TypeError, projector_ket_size and
     # projector_ket_zero named neither the file nor the key, rho_im's
     # scalar broadcast into a matrix reported as "not Hermitian" (exit 1),
-    # and temperature_huge escaped as a TypeError from the finiteness check
+    # and temperature_huge escaped as a TypeError from the finiteness check;
+    # rho_huge escaped as an OverflowError (exit 1), and crystal_nesting as
+    # a RecursionError (exit 1), while the other syntax and digits cases
+    # named neither the file nor --init
     argv, names = wrong_type_input(tmp_path, case)
     capsys.readouterr()
     rc = main(argv + ["--error-json", "--out-dir", str(tmp_path)])
